@@ -14,7 +14,7 @@
 
 use simclock::SimTime;
 use std::collections::{HashMap, VecDeque};
-use std::sync::{Condvar, Mutex};
+use std::sync::Mutex;
 
 /// MPI message tag.
 pub type Tag = i32;
@@ -221,9 +221,7 @@ fn env_matches(e: &Envelope, src: Source, tag: TagSel) -> bool {
 #[derive(Default)]
 pub struct Mailbox {
     q: Mutex<Queues>,
-    cv: Condvar,
-    /// Event-backend tasks parked on an empty match (`docs/SCHEDULER.md`);
-    /// empty — and the wakes free — under the thread backend.
+    /// Receivers blocked on an empty match (`docs/SCHEDULER.md`).
     waiters: sched::WaitQueue,
 }
 
@@ -239,8 +237,7 @@ impl Mailbox {
         q.log_posted(&env);
         q.msgs.push_back(env);
         drop(q);
-        self.cv.notify_all();
-        self.waiters.wake_all();
+        self.waiters.notify_all();
     }
 
     /// Deposit a protocol packet for `handle`.
@@ -252,89 +249,7 @@ impl Mailbox {
             .entry(handle)
             .or_default()
             .push_back(ctrl);
-        self.cv.notify_all();
-        self.waiters.wake_all();
-    }
-
-    /// Block until an envelope matching `(src, tag)` is available and
-    /// remove it (first match in arrival order — MPI non-overtaking).
-    /// `now` is the caller's virtual time at the call, feeding the
-    /// backlog gauge (it never affects matching or the clock).
-    pub fn match_recv(&self, src: Source, tag: TagSel, now: SimTime) -> Envelope {
-        let mut q = self.q.lock().unwrap();
-        loop {
-            if let Some(idx) = q.msgs.iter().position(|e| {
-                (match src {
-                    Source::Any => true,
-                    Source::Rank(r) => e.src == r,
-                }) && (match tag {
-                    TagSel::Any => true,
-                    TagSel::Value(t) => e.tag == t,
-                })
-            }) {
-                let env = q.msgs.remove(idx).expect("index valid under lock");
-                q.log_removed(&env, now);
-                return env;
-            }
-            q = self.cv.wait(q).unwrap();
-        }
-    }
-
-    /// Like [`Self::match_recv`], but give up after `timeout` of *real*
-    /// time. Returns `None` on expiry without removing anything.
-    ///
-    /// The timeout is a polling slice, not a protocol decision: callers
-    /// loop on it, checking peer liveness between slices, and charge
-    /// virtual time only from the deterministic timeout schedule — never
-    /// from real-time expiry.
-    pub fn match_recv_for(
-        &self,
-        src: Source,
-        tag: TagSel,
-        timeout: std::time::Duration,
-        now: SimTime,
-    ) -> Option<Envelope> {
-        if sched::is_event_task() && !timeout.is_zero() {
-            // Event backend: park instead of polling real time. A stall
-            // round plays the role of slice expiry — return None so the
-            // caller re-checks liveness, exactly like a timed-out wait.
-            let mut q = self.q.lock().unwrap();
-            loop {
-                if let Some(idx) = q.msgs.iter().position(|e| env_matches(e, src, tag)) {
-                    let env = q.msgs.remove(idx).expect("index valid under lock");
-                    q.log_removed(&env, now);
-                    return Some(env);
-                }
-                self.waiters.register_current();
-                drop(q);
-                if sched::park(now) == sched::Wake::Stalled {
-                    return None;
-                }
-                q = self.q.lock().unwrap();
-            }
-        }
-        let deadline = std::time::Instant::now() + timeout;
-        let mut q = self.q.lock().unwrap();
-        loop {
-            if let Some(idx) = q.msgs.iter().position(|e| {
-                (match src {
-                    Source::Any => true,
-                    Source::Rank(r) => e.src == r,
-                }) && (match tag {
-                    TagSel::Any => true,
-                    TagSel::Value(t) => e.tag == t,
-                })
-            }) {
-                let env = q.msgs.remove(idx).expect("index valid under lock");
-                q.log_removed(&env, now);
-                return Some(env);
-            }
-            let now = std::time::Instant::now();
-            if now >= deadline {
-                return None;
-            }
-            q = self.cv.wait_timeout(q, deadline - now).unwrap().0;
-        }
+        self.waiters.notify_all();
     }
 
     /// Non-blocking probe: does a matching envelope exist? Returns its
@@ -343,82 +258,30 @@ impl Mailbox {
         let q = self.q.lock().unwrap();
         q.msgs
             .iter()
-            .find(|e| {
-                (match src {
-                    Source::Any => true,
-                    Source::Rank(r) => e.src == r,
-                }) && (match tag {
-                    TagSel::Any => true,
-                    TagSel::Value(t) => e.tag == t,
-                })
-            })
+            .find(|e| env_matches(e, src, tag))
             .map(|e| (e.src, e.tag, e.arrival))
     }
 
-    /// Block until a protocol packet for `handle` arrives and remove it.
-    pub fn wait_ctrl(&self, handle: u64) -> Ctrl {
-        let mut q = self.q.lock().unwrap();
-        loop {
-            if let Some(dq) = q.ctrl.get_mut(&handle) {
-                if let Some(c) = dq.pop_front() {
-                    if dq.is_empty() {
-                        q.ctrl.remove(&handle);
-                    }
-                    return c;
-                }
-            }
-            q = self.cv.wait(q).unwrap();
-        }
-    }
-
-    /// Like [`Self::wait_ctrl`], but give up after `timeout` of *real*
-    /// time. Returns `None` on expiry. See [`Self::match_recv_for`] for
-    /// the virtual-time contract.
+    /// Wait up to `timeout` of *real* time for a protocol packet for
+    /// `handle` and remove it. Returns `None` on expiry. See
+    /// [`Self::match_recv_posted_for`] for the virtual-time contract.
     pub fn wait_ctrl_for(&self, handle: u64, timeout: std::time::Duration) -> Option<Ctrl> {
-        if sched::is_event_task() && !timeout.is_zero() {
-            let mut q = self.q.lock().unwrap();
-            loop {
-                if let Some(dq) = q.ctrl.get_mut(&handle) {
-                    if let Some(c) = dq.pop_front() {
-                        if dq.is_empty() {
-                            q.ctrl.remove(&handle);
-                        }
-                        return Some(c);
-                    }
-                }
-                self.waiters.register_current();
-                drop(q);
-                // Ctrl waits carry no timestamp of their own: park at the
-                // task's last recorded virtual time.
-                if sched::park_stale() == sched::Wake::Stalled {
-                    return None;
-                }
-                q = self.q.lock().unwrap();
+        // Ctrl waits carry no timestamp of their own: an event task parks
+        // at its last recorded virtual time.
+        self.waiters.wait(&self.q, Some(timeout), None, |q| {
+            let dq = q.ctrl.get_mut(&handle)?;
+            let c = dq.pop_front()?;
+            if dq.is_empty() {
+                q.ctrl.remove(&handle);
             }
-        }
-        let deadline = std::time::Instant::now() + timeout;
-        let mut q = self.q.lock().unwrap();
-        loop {
-            if let Some(dq) = q.ctrl.get_mut(&handle) {
-                if let Some(c) = dq.pop_front() {
-                    if dq.is_empty() {
-                        q.ctrl.remove(&handle);
-                    }
-                    return Some(c);
-                }
-            }
-            let now = std::time::Instant::now();
-            if now >= deadline {
-                return None;
-            }
-            q = self.cv.wait_timeout(q, deadline - now).unwrap().0;
-        }
+            Some(c)
+        })
     }
 
     /// Register a receive in the posted-receive queue. Must be called on
     /// the posting rank's own thread so tickets reflect program order;
-    /// the matching itself ([`Self::match_recv_posted`]) may then run on
-    /// an engine thread.
+    /// the matching itself ([`Self::match_recv_posted_for`]) may then
+    /// run on an engine thread.
     pub fn post_recv(&self, src: Source, tag: TagSel) -> u64 {
         let mut q = self.q.lock().unwrap();
         let ticket = q.next_ticket;
@@ -435,69 +298,36 @@ impl Mailbox {
         if let Some(i) = q.posted.iter().position(|p| p.ticket == ticket) {
             q.posted.remove(i);
             drop(q);
-            self.cv.notify_all();
-            self.waiters.wake_all();
+            self.waiters.notify_all();
         }
     }
 
-    /// Block until the posted receive `ticket` can claim an envelope (no
-    /// earlier-posted unmatched receive also matches it) and remove it.
-    pub fn match_recv_posted(&self, ticket: u64, now: SimTime) -> Envelope {
-        let mut q = self.q.lock().unwrap();
-        loop {
-            if let Some(env) = q.gated_match(ticket) {
-                q.log_removed(&env, now);
-                // Our posted entry left the queue: later receives it was
-                // shadowing may now be eligible.
-                self.cv.notify_all();
-                self.waiters.wake_all();
-                return env;
-            }
-            q = self.cv.wait(q).unwrap();
-        }
-    }
-
-    /// Like [`Self::match_recv_posted`], but give up after `timeout` of
-    /// *real* time (polling slice — see [`Self::match_recv_for`] for the
-    /// virtual-time contract). The posted entry stays registered on
-    /// expiry.
+    /// Wait up to `timeout` of *real* time until the posted receive
+    /// `ticket` can claim an envelope (no earlier-posted unmatched
+    /// receive also matches it) and remove it. Returns `None` on expiry;
+    /// the posted entry stays registered. `now` is the caller's virtual
+    /// time, feeding the backlog gauge and the event backend's park key;
+    /// it never affects matching or the clock.
+    ///
+    /// The timeout is a polling slice, not a protocol decision: callers
+    /// loop on it, checking peer liveness between slices, and charge
+    /// virtual time only from the deterministic timeout schedule — never
+    /// from real-time expiry.
     pub fn match_recv_posted_for(
         &self,
         ticket: u64,
         timeout: std::time::Duration,
         now: SimTime,
     ) -> Option<Envelope> {
-        if sched::is_event_task() && !timeout.is_zero() {
-            let mut q = self.q.lock().unwrap();
-            loop {
-                if let Some(env) = q.gated_match(ticket) {
-                    q.log_removed(&env, now);
-                    self.cv.notify_all();
-                    self.waiters.wake_all();
-                    return Some(env);
-                }
-                self.waiters.register_current();
-                drop(q);
-                if sched::park(now) == sched::Wake::Stalled {
-                    return None;
-                }
-                q = self.q.lock().unwrap();
-            }
-        }
-        let deadline = std::time::Instant::now() + timeout;
-        let mut q = self.q.lock().unwrap();
-        loop {
-            if let Some(env) = q.gated_match(ticket) {
-                q.log_removed(&env, now);
-                self.cv.notify_all();
-                return Some(env);
-            }
-            let now = std::time::Instant::now();
-            if now >= deadline {
-                return None;
-            }
-            q = self.cv.wait_timeout(q, deadline - now).unwrap().0;
-        }
+        let env = self.waiters.wait(&self.q, Some(timeout), Some(now), |q| {
+            let env = q.gated_match(ticket)?;
+            q.log_removed(&env, now);
+            Some(env)
+        })?;
+        // Our posted entry left the queue: later receives it was
+        // shadowing may now be eligible.
+        self.waiters.notify_all();
+        Some(env)
     }
 
     /// Number of queued (unmatched) messages — diagnostics only.
@@ -518,6 +348,23 @@ mod tests {
     use super::*;
     use std::sync::Arc;
     use std::thread;
+    use std::time::Duration;
+
+    /// A slice long enough that expiry means a lost wake, not a slow host.
+    const SLICE: Duration = Duration::from_secs(10);
+
+    /// Post a receive for `(src, tag)` and block until it claims its
+    /// envelope.
+    fn recv(mb: &Mailbox, src: Source, tag: TagSel) -> Envelope {
+        let ticket = mb.post_recv(src, tag);
+        mb.match_recv_posted_for(ticket, SLICE, SimTime::ZERO)
+            .expect("matching envelope")
+    }
+
+    /// Block until a protocol packet for `handle` arrives.
+    fn ctrl(mb: &Mailbox, handle: u64) -> Ctrl {
+        mb.wait_ctrl_for(handle, SLICE).expect("ctrl packet")
+    }
 
     fn env(src: usize, tag: Tag) -> Envelope {
         Envelope {
@@ -538,11 +385,11 @@ mod tests {
         mb.post(env(1, 10));
         mb.post(env(2, 10));
         mb.post(env(1, 20));
-        let e = mb.match_recv(Source::Rank(2), TagSel::Value(10), SimTime::ZERO);
+        let e = recv(&mb, Source::Rank(2), TagSel::Value(10));
         assert_eq!(e.src, 2);
-        let e = mb.match_recv(Source::Rank(1), TagSel::Value(20), SimTime::ZERO);
+        let e = recv(&mb, Source::Rank(1), TagSel::Value(20));
         assert_eq!(e.tag, 20);
-        let e = mb.match_recv(Source::Any, TagSel::Any, SimTime::ZERO);
+        let e = recv(&mb, Source::Any, TagSel::Any);
         assert_eq!((e.src, e.tag), (1, 10));
     }
 
@@ -555,7 +402,7 @@ mod tests {
             mb.post(e);
         }
         for i in 0..5 {
-            let e = mb.match_recv(Source::Rank(3), TagSel::Value(7), SimTime::ZERO);
+            let e = recv(&mb, Source::Rank(3), TagSel::Value(7));
             assert_eq!(e.arrival, SimTime::from_ps(i), "overtook at {i}");
         }
     }
@@ -564,8 +411,7 @@ mod tests {
     fn blocking_recv_wakes_on_post() {
         let mb = Arc::new(Mailbox::new());
         let mb2 = Arc::clone(&mb);
-        let t =
-            thread::spawn(move || mb2.match_recv(Source::Any, TagSel::Value(42), SimTime::ZERO));
+        let t = thread::spawn(move || recv(&mb2, Source::Any, TagSel::Value(42)));
         thread::sleep(std::time::Duration::from_millis(20));
         mb.post(env(0, 41)); // wrong tag: should not satisfy
         mb.post(env(0, 42));
@@ -594,8 +440,8 @@ mod tests {
                 crc: None,
             },
         );
-        assert!(matches!(mb.wait_ctrl(9), Ctrl::Cts { .. }));
-        assert!(matches!(mb.wait_ctrl(9), Ctrl::Chunk { last: true, .. }));
+        assert!(matches!(ctrl(&mb, 9), Ctrl::Cts { .. }));
+        assert!(matches!(ctrl(&mb, 9), Ctrl::Chunk { last: true, .. }));
     }
 
     #[test]
@@ -618,11 +464,11 @@ mod tests {
         // b is later-posted but src-disjoint from a: an envelope from
         // rank 2 goes to b even while a is still unmatched.
         mb.post(env(2, 5));
-        let e = mb.match_recv_posted_for(b, std::time::Duration::ZERO, SimTime::ZERO);
+        let e = mb.match_recv_posted_for(b, Duration::ZERO, SimTime::ZERO);
         assert_eq!(e.expect("disjoint recv must match").src, 2);
         mb.post(env(1, 5));
         assert!(mb
-            .match_recv_posted_for(a, std::time::Duration::ZERO, SimTime::ZERO)
+            .match_recv_posted_for(a, Duration::ZERO, SimTime::ZERO)
             .is_some());
     }
 
@@ -634,14 +480,14 @@ mod tests {
         mb.post(env(2, 5));
         // The earlier wildcard claims the envelope; b must not steal it.
         assert!(mb
-            .match_recv_posted_for(b, std::time::Duration::ZERO, SimTime::ZERO)
+            .match_recv_posted_for(b, Duration::ZERO, SimTime::ZERO)
             .is_none());
-        let e = mb.match_recv_posted(a, SimTime::ZERO);
-        assert_eq!(e.src, 2);
+        let e = mb.match_recv_posted_for(a, SLICE, SimTime::ZERO);
+        assert_eq!(e.expect("wildcard claims the envelope").src, 2);
         // With the wildcard gone, a fresh envelope satisfies b.
         mb.post(env(2, 5));
         assert!(mb
-            .match_recv_posted_for(b, std::time::Duration::ZERO, SimTime::ZERO)
+            .match_recv_posted_for(b, Duration::ZERO, SimTime::ZERO)
             .is_some());
     }
 
@@ -652,11 +498,11 @@ mod tests {
         let b = mb.post_recv(Source::Rank(3), TagSel::Value(1));
         mb.post(env(3, 1));
         assert!(mb
-            .match_recv_posted_for(b, std::time::Duration::ZERO, SimTime::ZERO)
+            .match_recv_posted_for(b, Duration::ZERO, SimTime::ZERO)
             .is_none());
         mb.abandon_recv(a);
         assert!(mb
-            .match_recv_posted_for(b, std::time::Duration::ZERO, SimTime::ZERO)
+            .match_recv_posted_for(b, Duration::ZERO, SimTime::ZERO)
             .is_some());
     }
 
@@ -678,7 +524,7 @@ mod tests {
         let mut got = 0;
         for h in 0..4u64 {
             for _ in 0..25 {
-                let c = mb.wait_ctrl(h);
+                let c = ctrl(&mb, h);
                 assert!(matches!(c, Ctrl::Signal { .. }));
                 got += 1;
             }

@@ -18,7 +18,7 @@
 
 use crate::error::ScimpiError;
 use crate::mailbox::{Ctrl, Envelope, Head, Source, Tag, TagSel};
-use crate::runtime::{Rank, WorldState, POLL_SLICE};
+use crate::runtime::{Rank, WorldState};
 use crate::sink::PioSink;
 use crate::tuning::{IntegrityMode, OverloadPolicy, PackPath, Tuning};
 use mpi_datatype::{ff, tree, Committed, PackStats, SliceSource};
@@ -293,27 +293,11 @@ pub(crate) fn finish_send_inner(
         // receiver dies while holding every slot, the sender must not
         // wait forever.
         let slot_wait_start = clock.now();
-        let slot = loop {
-            if let Some(s) = ring.acquire_for(clock, POLL_SLICE) {
-                break s;
-            }
-            if world.revoke_arrival(rank).is_some() {
-                if let Some(s) = ring.acquire_for(clock, std::time::Duration::ZERO) {
-                    break s;
-                }
-                let err = world
-                    .check_revoked(clock, rank)
-                    .expect("revocation installed");
-                return Err(world.escalate(err));
-            }
-            if !world.peer_dead(dst) {
-                continue;
-            }
-            if let Some(s) = ring.acquire_for(clock, std::time::Duration::ZERO) {
-                break s;
-            }
-            return Err(world.escalate(world.declare_dead(clock, dst, "ring slot")));
-        };
+        let slot = world
+            .guarded_wait(rank, clock, Some(dst), "ring slot", |clock, slice| {
+                ring.acquire_for(clock, slice)
+            })
+            .map_err(|e| world.escalate(e))?;
         // Slot reuse carries the receiver's drain time: any forward jump
         // is the sender waiting for the receiver to free ring space.
         attrib::wait(
@@ -631,67 +615,21 @@ pub(crate) fn recv_into_inner(
         // The receiver resolves the same committed layout to unpack.
         attrib::advance(clock, Bucket::Pack, world.tuning.layout_resolve_cost(c));
     }
-    let env = match src {
-        Source::Any => loop {
-            if let Some(e) =
-                world.mailboxes[rank].match_recv_posted_for(ticket, POLL_SLICE, clock.now())
-            {
-                break e;
-            }
-            // A wildcard receive has no single peer to monitor, so only a
-            // communicator revocation can unblock it early.
-            if world.revoke_arrival(rank).is_some() {
-                if let Some(e) = world.mailboxes[rank].match_recv_posted_for(
-                    ticket,
-                    std::time::Duration::ZERO,
-                    clock.now(),
-                ) {
-                    break e;
-                }
-                world.mailboxes[rank].abandon_recv(ticket);
-                let err = world
-                    .check_revoked(clock, rank)
-                    .expect("revocation installed");
-                return Err(world.escalate(err));
-            }
-        },
-        Source::Rank(peer) => loop {
-            if let Some(e) =
-                world.mailboxes[rank].match_recv_posted_for(ticket, POLL_SLICE, clock.now())
-            {
-                break e;
-            }
-            if world.revoke_arrival(rank).is_some() {
-                if let Some(e) = world.mailboxes[rank].match_recv_posted_for(
-                    ticket,
-                    std::time::Duration::ZERO,
-                    clock.now(),
-                ) {
-                    break e;
-                }
-                world.mailboxes[rank].abandon_recv(ticket);
-                let err = world
-                    .check_revoked(clock, rank)
-                    .expect("revocation installed");
-                return Err(world.escalate(err));
-            }
-            if !world.peer_dead(peer) {
-                continue;
-            }
-            // Final drain: the message may have landed between the last
-            // poll slice and the death check.
-            if let Some(e) = world.mailboxes[rank].match_recv_posted_for(
-                ticket,
-                std::time::Duration::ZERO,
-                clock.now(),
-            ) {
-                break e;
-            }
-            world.mailboxes[rank].abandon_recv(ticket);
-            let err = world.declare_dead(clock, peer, "message");
-            return Err(world.escalate(err));
-        },
+    // A wildcard receive has no single peer to monitor, so only a
+    // communicator revocation can unblock it early.
+    let peer = match src {
+        Source::Any => None,
+        Source::Rank(peer) => Some(peer),
     };
+    let mailbox = &world.mailboxes[rank];
+    let env = world
+        .guarded_wait(rank, clock, peer, "message", |clock, slice| {
+            mailbox.match_recv_posted_for(ticket, slice, clock.now())
+        })
+        .map_err(|e| {
+            mailbox.abandon_recv(ticket);
+            world.escalate(e)
+        })?;
     attrib::merge_waited(
         clock,
         env.arrival,
@@ -1040,56 +978,29 @@ impl Rank {
                 // Collect grants one at a time, merging each grant's
                 // arrival (receiver match time + control latency) as a
                 // backpressure wait, until the pool covers the message.
-                // The guard mirrors `WorldState::await_ctrl`: a revoked
-                // communicator or a dead receiver must unblock the
-                // stall, or backpressure would deadlock recovery.
-                let collect = |clock: &mut Clock, timeout| -> bool {
-                    match credits.await_grant_for(timeout) {
-                        Some((glen, at)) => {
-                            attrib::merge_waited(
-                                clock,
-                                at,
-                                WaitKind::Backpressure,
-                                Some(dst as u32),
-                            );
-                            credits.restore(glen);
-                            true
-                        }
-                        None => false,
-                    }
-                };
+                // The wait is liveness-guarded: a revoked communicator or
+                // a dead receiver must unblock the stall, or backpressure
+                // would deadlock recovery.
                 loop {
-                    if collect(&mut self.clock, POLL_SLICE) {
-                        if credits.try_consume(len) {
-                            return Ok(CreditVerdict::Granted);
-                        }
-                        continue;
+                    let (glen, at) = world
+                        .guarded_wait(
+                            self.rank,
+                            &mut self.clock,
+                            Some(dst),
+                            "eager credits",
+                            |_, slice| credits.await_grant_for(slice),
+                        )
+                        .map_err(|e| world.escalate(e))?;
+                    attrib::merge_waited(
+                        &mut self.clock,
+                        at,
+                        WaitKind::Backpressure,
+                        Some(dst as u32),
+                    );
+                    credits.restore(glen);
+                    if credits.try_consume(len) {
+                        return Ok(CreditVerdict::Granted);
                     }
-                    if world.revoke_arrival(self.rank).is_some() {
-                        // Final drain: a grant may have landed between
-                        // expiry and the revocation check.
-                        if collect(&mut self.clock, std::time::Duration::ZERO) {
-                            if credits.try_consume(len) {
-                                return Ok(CreditVerdict::Granted);
-                            }
-                            continue;
-                        }
-                        let err = world
-                            .check_revoked(&mut self.clock, self.rank)
-                            .expect("revocation installed");
-                        return Err(world.escalate(err));
-                    }
-                    if !world.peer_dead(dst) {
-                        continue;
-                    }
-                    if collect(&mut self.clock, std::time::Duration::ZERO) {
-                        if credits.try_consume(len) {
-                            return Ok(CreditVerdict::Granted);
-                        }
-                        continue;
-                    }
-                    let err = world.declare_dead(&mut self.clock, dst, "eager credits");
-                    return Err(world.escalate(err));
                 }
             }
             OverloadPolicy::Degrade => {

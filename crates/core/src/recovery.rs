@@ -117,7 +117,7 @@ fn agree_handle(epoch: u64, sweep: u32, round: u32, src_world: usize) -> u64 {
 }
 
 /// Wait for the partner's agreement signal, mirroring the liveness-guard
-/// idiom of `WorldState::await_ctrl` but *without* escalation and
+/// idiom of `WorldState::guarded_wait` but *without* escalation and
 /// *without* revocation checks (agreement runs exempt): a dead partner
 /// charges the deterministic declared-dead schedule and returns `None`
 /// so the sweep continues with the partner recorded dead.
@@ -309,33 +309,28 @@ fn shrink_inner(
         // must have posted), so no rank still needs the revocation to
         // escape a blocked wait.
         world.reclaim_credits(&dead);
-        let barrier = Arc::new(TimeBarrier::new(members.len(), world.tuning.barrier_hop));
-        world
-            .epoch_barriers
-            .lock()
-            .unwrap()
-            .insert(new_epoch, barrier);
         world.clear_revoke();
+        let barrier = Arc::new(TimeBarrier::new(members.len(), world.tuning.barrier_hop));
+        // Publish under the barrier map's lock, which the waiters below
+        // check under, so no wake can fall between their check and wait.
+        let mut barriers = world.epoch_barriers.lock().unwrap();
+        barriers.insert(new_epoch, barrier);
         world.current_epoch.store(new_epoch, Ordering::SeqCst);
-        world.epoch_waiters.wake_all();
+        drop(barriers);
+        world.epoch_waiters.notify_all();
     }
     // Everyone (leader included): pick up the new epoch's barrier. Real
-    // time only — no virtual cost for registration latency.
-    let barrier = loop {
-        if world.current_epoch.load(Ordering::SeqCst) >= new_epoch {
-            if let Some(b) = world.epoch_barriers.lock().unwrap().get(&new_epoch) {
-                break Arc::clone(b);
+    // time only — no virtual cost for registration latency; an event
+    // task parks at its last recorded time.
+    let barrier = world
+        .epoch_waiters
+        .wait(&world.epoch_barriers, None, None, |barriers| {
+            if world.current_epoch.load(Ordering::SeqCst) < new_epoch {
+                return None;
             }
-        }
-        if sched::is_event_task() {
-            // Park until the leader publishes the epoch; a stalled wake
-            // simply re-runs the check like a sleep expiry would.
-            world.epoch_waiters.register_current();
-            sched::park_stale();
-        } else {
-            std::thread::sleep(std::time::Duration::from_micros(200));
-        }
-    };
+            barriers.get(&new_epoch).cloned()
+        })
+        .expect("an untimed wait always delivers");
     rank.members = Arc::new(members);
     rank.my_index = my_index;
     rank.epoch = new_epoch;

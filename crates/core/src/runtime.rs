@@ -23,9 +23,9 @@ use sci_fabric::{Fabric, FabricSpec, FaultConfig, SciParams, Topology};
 use simclock::{Clock, SimDuration, SimTime};
 use smi::{ProcId, SharedRegion, ShregAllocator, SmiWorld, TimeBarrier};
 use std::any::Any;
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// Size of each rank's `MPI_Alloc_mem` shared-segment pool.
 pub const ALLOC_POOL_BYTES: usize = 8 << 20;
@@ -194,8 +194,9 @@ pub(crate) struct PairRing {
     /// freed. FIFO: the receiver drains slots in ascending virtual time,
     /// and taking the front slot keeps the sender's virtual wait
     /// independent of real-time thread interleaving (determinism).
-    free: Mutex<std::collections::VecDeque<(usize, SimTime)>>,
-    cv: Condvar,
+    free: Mutex<VecDeque<(usize, SimTime)>>,
+    /// Senders blocked on an empty free list.
+    waiters: sched::WaitQueue,
     /// Bytes per slot.
     pub chunk: usize,
     /// Send-turn ticketing: with nonblocking sends, two rendezvous
@@ -208,10 +209,7 @@ pub(crate) struct PairRing {
     /// in posted order. Blocking sends pass straight through (their ticket
     /// is always current) at zero virtual cost.
     turn: Mutex<TurnState>,
-    turn_cv: Condvar,
-    /// Event-backend tasks parked on an empty free list.
-    waiters: sched::WaitQueue,
-    /// Event-backend tasks parked on a turn ticket.
+    /// Sends blocked on a turn ticket.
     turn_waiters: sched::WaitQueue,
 }
 
@@ -226,11 +224,9 @@ impl PairRing {
         PairRing {
             region,
             free: Mutex::new((0..slots).map(|s| (s, SimTime::ZERO)).collect()),
-            cv: Condvar::new(),
+            waiters: sched::WaitQueue::new(),
             chunk,
             turn: Mutex::new(TurnState::default()),
-            turn_cv: Condvar::new(),
-            waiters: sched::WaitQueue::new(),
             turn_waiters: sched::WaitQueue::new(),
         }
     }
@@ -249,20 +245,10 @@ impl PairRing {
     /// guard that passes the turn on when dropped — including on error
     /// and panic paths, so a failed send never wedges the pair.
     pub fn await_turn(&self, ticket: u64) -> TurnGuard<'_> {
-        let mut t = self.turn.lock().unwrap();
-        if sched::is_event_task() {
-            while t.current != ticket {
-                self.turn_waiters.register_current();
-                drop(t);
-                // Turns carry no timestamp: park at the task's last time.
-                sched::park_stale();
-                t = self.turn.lock().unwrap();
-            }
-        } else {
-            while t.current != ticket {
-                t = self.turn_cv.wait(t).unwrap();
-            }
-        }
+        // Turns carry no timestamp: an event task parks at its last time.
+        self.turn_waiters.wait(&self.turn, None, None, |t| {
+            (t.current == ticket).then_some(())
+        });
         TurnGuard { ring: self, ticket }
     }
 }
@@ -276,11 +262,15 @@ pub(crate) struct TurnGuard<'a> {
 impl Drop for TurnGuard<'_> {
     fn drop(&mut self) {
         let mut t = self.ring.turn.lock().unwrap();
-        debug_assert_eq!(t.current, self.ticket, "turn released out of order");
+        // Checked in release builds too, but never while unwinding: a
+        // panic in `drop` during another panic aborts the process.
+        assert!(
+            std::thread::panicking() || t.current == self.ticket,
+            "turn released out of order"
+        );
         t.current = self.ticket + 1;
         drop(t);
-        self.ring.turn_cv.notify_all();
-        self.ring.turn_waiters.wake_all();
+        self.ring.turn_waiters.notify_all();
     }
 }
 
@@ -292,43 +282,20 @@ impl PairRing {
     /// liveness between slices, and charge virtual time only from the
     /// deterministic timeout schedule.
     pub fn acquire_for(&self, clock: &mut Clock, timeout: std::time::Duration) -> Option<usize> {
-        if sched::is_event_task() && !timeout.is_zero() {
-            let mut free = self.free.lock().unwrap();
-            loop {
-                if let Some((slot, freed_at)) = free.pop_front() {
-                    drop(free);
-                    clock.merge(freed_at);
-                    return Some(slot);
-                }
-                self.waiters.register_current();
-                drop(free);
-                if sched::park(clock.now()) == sched::Wake::Stalled {
-                    return None;
-                }
-                free = self.free.lock().unwrap();
-            }
-        }
-        let deadline = std::time::Instant::now() + timeout;
-        let mut free = self.free.lock().unwrap();
-        loop {
-            if let Some((slot, freed_at)) = free.pop_front() {
-                drop(free);
-                clock.merge(freed_at);
-                return Some(slot);
-            }
-            let now = std::time::Instant::now();
-            if now >= deadline {
-                return None;
-            }
-            free = self.cv.wait_timeout(free, deadline - now).unwrap().0;
-        }
+        let (slot, freed_at) = self.waiters.wait(
+            &self.free,
+            Some(timeout),
+            Some(clock.now()),
+            VecDeque::pop_front,
+        )?;
+        clock.merge(freed_at);
+        Some(slot)
     }
 
     /// Return a slot drained at virtual time `at`.
     pub fn release(&self, slot: usize, at: SimTime) {
         self.free.lock().unwrap().push_back((slot, at));
-        self.cv.notify_all();
-        self.waiters.wake_all();
+        self.waiters.notify_all();
     }
 
     /// Byte offset of a slot.
@@ -367,9 +334,8 @@ pub(crate) struct PairCredits {
     /// plus one control-packet latency). FIFO, like `PairRing::free`:
     /// collecting the front grant keeps the sender's virtual wait
     /// independent of real-time interleaving.
-    granted: Mutex<std::collections::VecDeque<(usize, SimTime)>>,
-    cv: Condvar,
-    /// Event-backend tasks parked in a backpressure stall.
+    granted: Mutex<VecDeque<(usize, SimTime)>>,
+    /// Senders blocked in a backpressure stall.
     waiters: sched::WaitQueue,
     /// Full budget, for peak-outstanding accounting and recovery resets.
     budget_bytes: usize,
@@ -380,8 +346,7 @@ impl PairCredits {
     fn new(bytes: usize, slots: usize) -> Self {
         PairCredits {
             avail: Mutex::new((bytes, slots)),
-            granted: Mutex::new(std::collections::VecDeque::new()),
-            cv: Condvar::new(),
+            granted: Mutex::new(VecDeque::new()),
             waiters: sched::WaitQueue::new(),
             budget_bytes: bytes,
             budget_slots: slots,
@@ -410,8 +375,7 @@ impl PairCredits {
     /// sender at virtual time `at`.
     pub fn deposit(&self, len: usize, at: SimTime) {
         self.granted.lock().unwrap().push_back((len, at));
-        self.cv.notify_all();
-        self.waiters.wake_all();
+        self.waiters.notify_all();
     }
 
     /// Sender side, at a synchronisation point: fold every deposited
@@ -437,34 +401,10 @@ impl PairCredits {
     /// The popped grant is NOT yet spendable: the caller merges its
     /// timestamp and then folds it in with [`PairCredits::restore`].
     pub fn await_grant_for(&self, timeout: std::time::Duration) -> Option<(usize, SimTime)> {
-        if sched::is_event_task() && !timeout.is_zero() {
-            let mut g = self.granted.lock().unwrap();
-            loop {
-                if let Some(grant) = g.pop_front() {
-                    return Some(grant);
-                }
-                self.waiters.register_current();
-                drop(g);
-                // Grant waits carry no timestamp: park at the task's
-                // last recorded time.
-                if sched::park_stale() == sched::Wake::Stalled {
-                    return None;
-                }
-                g = self.granted.lock().unwrap();
-            }
-        }
-        let deadline = std::time::Instant::now() + timeout;
-        let mut g = self.granted.lock().unwrap();
-        loop {
-            if let Some(grant) = g.pop_front() {
-                return Some(grant);
-            }
-            let now = std::time::Instant::now();
-            if now >= deadline {
-                return None;
-            }
-            g = self.cv.wait_timeout(g, deadline - now).unwrap().0;
-        }
+        // Grant waits carry no timestamp: an event task parks at its last
+        // recorded time.
+        self.waiters
+            .wait(&self.granted, Some(timeout), None, VecDeque::pop_front)
     }
 
     /// Fold a grant popped by [`PairCredits::await_grant_for`] into the
@@ -487,8 +427,7 @@ impl PairCredits {
     pub fn reset_full(&self) {
         self.granted.lock().unwrap().clear();
         *self.avail.lock().unwrap() = (self.budget_bytes, self.budget_slots);
-        self.cv.notify_all();
-        self.waiters.wake_all();
+        self.waiters.notify_all();
     }
 }
 
@@ -541,8 +480,8 @@ pub(crate) struct WorldState {
     /// Per-rank staging-buffer ledgers governing pack-path selection
     /// ([`Tuning::staging_budget_bytes`]). Indexed by world rank.
     pub staging: Vec<crate::sink::StagingLedger>,
-    /// Event-backend tasks parked waiting for a shrink leader to publish
-    /// a new membership epoch (see `recovery::shrink`).
+    /// Survivors waiting for a shrink leader to publish a new membership
+    /// epoch (see `recovery::shrink`); paired with `epoch_barriers`.
     pub epoch_waiters: sched::WaitQueue,
 }
 
@@ -689,7 +628,7 @@ impl WorldState {
     /// Return window memory charged by [`WorldState::charge_window`].
     pub fn release_window(&self, rank: usize, len: usize) {
         let prev = self.window_bytes[rank].fetch_sub(len, Ordering::Relaxed);
-        debug_assert!(prev >= len, "window budget release underflow");
+        assert!(prev >= len, "window budget release underflow");
     }
 
     /// The node hosting rank `r`.
@@ -758,13 +697,55 @@ impl WorldState {
         Some(ScimpiError::Revoked)
     }
 
-    /// Wait for a protocol packet for `handle` on `rank`'s mailbox,
-    /// guarding against `peer` dying mid-handshake.
+    /// The liveness-guarded wait under every protocol handshake: run
+    /// `poll(clock, slice)` — one bounded wait, where a zero slice only
+    /// drains — until it delivers, guarding world rank `rank` against a
+    /// revoked communicator and, when `peer` is given, against `peer`
+    /// dying mid-wait (`what` names the awaited item in the death span).
     ///
-    /// Real time is polled in slices; a healthy-but-slow peer costs no
-    /// virtual time (determinism). Only when `peer`'s node is confirmed
-    /// dead does the waiter charge the full timeout/backoff schedule and
-    /// report [`ScimpiError::PeerDead`].
+    /// Real time is polled in [`POLL_SLICE`]s; a healthy-but-slow peer
+    /// costs no virtual time (determinism). After each expired slice:
+    ///
+    /// 1. if revoked, drain once more, then fail at the gossip-front
+    ///    arrival ([`ScimpiError::Revoked`]);
+    /// 2. if `peer`'s node is confirmed dead, drain once more, then
+    ///    charge the full timeout/backoff schedule
+    ///    ([`ScimpiError::PeerDead`]).
+    ///
+    /// The final drain closes the race where the item landed between
+    /// expiry and the check. Errors come back unescalated so callers can
+    /// clean up first.
+    pub fn guarded_wait<R>(
+        &self,
+        rank: usize,
+        clock: &mut Clock,
+        peer: Option<usize>,
+        what: &'static str,
+        mut poll: impl FnMut(&mut Clock, std::time::Duration) -> Option<R>,
+    ) -> Result<R, ScimpiError> {
+        loop {
+            if let Some(r) = poll(clock, POLL_SLICE) {
+                return Ok(r);
+            }
+            let revoked = self.revoke_arrival(rank).is_some();
+            if !revoked && !peer.is_some_and(|p| self.peer_dead(p)) {
+                continue;
+            }
+            if let Some(r) = poll(clock, std::time::Duration::ZERO) {
+                return Ok(r);
+            }
+            return Err(match peer {
+                Some(p) if !revoked => self.declare_dead(clock, p, what),
+                _ => self
+                    .check_revoked(clock, rank)
+                    .expect("revocation installed"),
+            });
+        }
+    }
+
+    /// Wait for a protocol packet for `handle` on `rank`'s mailbox,
+    /// guarding against `peer` dying mid-handshake (see
+    /// [`WorldState::guarded_wait`]).
     pub fn await_ctrl(
         &self,
         rank: usize,
@@ -773,33 +754,9 @@ impl WorldState {
         peer: usize,
         what: &'static str,
     ) -> Result<crate::mailbox::Ctrl, ScimpiError> {
-        loop {
-            if let Some(c) = self.mailboxes[rank].wait_ctrl_for(handle, POLL_SLICE) {
-                return Ok(c);
-            }
-            if self.revoke_arrival(rank).is_some() {
-                // Revoked: drain once more (the packet may have landed
-                // between expiry and the check), then error out at the
-                // gossip-front arrival time.
-                if let Some(c) =
-                    self.mailboxes[rank].wait_ctrl_for(handle, std::time::Duration::ZERO)
-                {
-                    return Ok(c);
-                }
-                return Err(self
-                    .check_revoked(clock, rank)
-                    .expect("revocation installed"));
-            }
-            if !self.peer_dead(peer) {
-                continue;
-            }
-            // The peer is dead: drain once more to close the race where
-            // its last packet arrived between expiry and the check.
-            if let Some(c) = self.mailboxes[rank].wait_ctrl_for(handle, std::time::Duration::ZERO) {
-                return Ok(c);
-            }
-            return Err(self.declare_dead(clock, peer, what));
-        }
+        self.guarded_wait(rank, clock, Some(peer), what, |_, slice| {
+            self.mailboxes[rank].wait_ctrl_for(handle, slice)
+        })
     }
 
     /// Charge the deterministic timeout/backoff schedule for a peer that
@@ -1428,6 +1385,15 @@ mod tests {
                 ring.release(s1, r.now());
                 ring.release(s2, r.now());
             }
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "window budget release underflow")]
+    fn window_release_underflow_panics() {
+        run(ClusterSpec::ringlet(1), |r| {
+            r.world.charge_window(0, 8).expect("within budget");
+            r.world.release_window(0, 16);
         });
     }
 

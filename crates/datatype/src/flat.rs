@@ -320,25 +320,20 @@ pub mod layout_cache {
             return (Arc::new(build_layout(dt)), false);
         }
         let sig = dt.signature();
-        if let Some(hit) = table()
-            .lock()
-            .expect("layout cache poisoned")
-            .get(&sig)
-            .cloned()
-        {
+        // Look up, build and insert under one lock: concurrent commits of
+        // one type then count exactly one miss, as a sequential run does.
+        let mut table = table().lock().expect("layout cache poisoned");
+        if let Some(hit) = table.get(&sig) {
             // Reject (astronomically unlikely) signature collisions: the
             // cached layout must describe a type of identical footprint.
             if hit.size == dt.size() && hit.extent == dt.extent() {
                 obs::inc(obs::Counter::LayoutCacheHits);
-                return (hit, true);
+                return (Arc::clone(hit), true);
             }
         }
         obs::inc(obs::Counter::LayoutCacheMisses);
         let layout = Arc::new(build_layout(dt));
-        table()
-            .lock()
-            .expect("layout cache poisoned")
-            .insert(sig, Arc::clone(&layout));
+        table.insert(sig, Arc::clone(&layout));
         (layout, false)
     }
 }

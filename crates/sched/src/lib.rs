@@ -11,11 +11,10 @@
 //! state — same seed, same interleaving, bit for bit — and wall-clock
 //! cost per rank is one parked thread, not one spinning poll loop.
 //!
-//! The protocol code stays *scheduler-agnostic*: blocking primitives call
-//! [`is_event_task`] and either park here (event backend) or fall through
-//! to their existing `Condvar` timeout loop (thread backend). Producers
-//! call [`WaitQueue::wake_all`] next to their existing `notify_all`; on
-//! the thread backend the queue is empty and the call is a no-op.
+//! The protocol code stays *scheduler-agnostic*: every blocking site
+//! calls [`WaitQueue::wait`], which blocks a plain thread on the queue's
+//! `Condvar` and parks an event task here, and producers call
+//! [`WaitQueue::notify_all`], which wakes both.
 //!
 //! ## Ordering and tie-break
 //!
@@ -32,7 +31,7 @@
 //! by letting its condvar waits time out every `POLL_SLICE` of *real*
 //! time. The event backend has no real time, so when every live task is
 //! blocked and nothing is in flight the scheduler runs a **stall round**:
-//! all blocked tasks wake with [`Wake::Stalled`] and re-check liveness
+//! all blocked tasks wake with `Wake::Stalled` and re-check liveness
 //! (dead peer? revoked epoch? cancelled barrier?) exactly as a timed-out
 //! wait would. Progress is counted (unparks, adoptions, retirements);
 //! consecutive stall rounds without progress mean a genuine deadlock and
@@ -45,7 +44,9 @@ use std::any::Any;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::panic::panic_any;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::time::{Duration, Instant};
 
 /// Sentinel panic payload used to unwind tasks after another task has
 /// aborted the run. Wrappers around task bodies treat it as "shut down
@@ -56,7 +57,7 @@ pub struct Aborted;
 
 /// Why a parked task resumed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Wake {
+pub(crate) enum Wake {
     /// A producer woke this task; its condition may now hold.
     Woken,
     /// Scheduler stall round: nothing else can run. Re-check liveness
@@ -544,16 +545,15 @@ pub fn current() -> Option<Handle> {
     CURRENT.with(|c| c.borrow().clone())
 }
 
-/// Whether the current thread is an event-scheduler task. Blocking
-/// primitives branch on this: park here vs the thread backend's condvar
-/// timeout loop.
-pub fn is_event_task() -> bool {
+/// Whether the current thread is an event-scheduler task: the one
+/// backend fork, taken inside [`WaitQueue::wait`].
+pub(crate) fn is_event_task() -> bool {
     CURRENT.with(|c| c.borrow().is_some())
 }
 
 /// Park the current task at virtual time `now`. Panics (by design) if
 /// the thread is not a task — callers must check [`is_event_task`].
-pub fn park(now: SimTime) -> Wake {
+pub(crate) fn park(now: SimTime) -> Wake {
     let h = current().expect("sched::park outside a task");
     h.sched.park_task(h.id.0, Some(now))
 }
@@ -561,7 +561,7 @@ pub fn park(now: SimTime) -> Wake {
 /// Park at the task's last recorded virtual time — for blocking sites
 /// with no timestamp of their own (turn tickets, joins), keeping the
 /// dispatch key deterministic.
-pub fn park_stale() -> Wake {
+pub(crate) fn park_stale() -> Wake {
     let h = current().expect("sched::park_stale outside a task");
     h.sched.park_task(h.id.0, None)
 }
@@ -604,15 +604,17 @@ pub fn abort_current(payload: Box<dyn Any + Send + 'static>) {
     }
 }
 
-/// A list of parked tasks waiting on one condition — the event-backend
-/// twin of a `Condvar`. Consumers register *before* re-checking their
-/// condition and park while still holding the run token (producers are
-/// tasks too, so no wake can slip between check and park); producers
-/// `wake_all` right after their `notify_all`. Empty (and nearly free) on
-/// the thread backend.
+/// The one wait point of both backends: a `Condvar` for plain threads
+/// next to the list of event tasks parked on the same condition.
+/// Consumers block in [`WaitQueue::wait`]; producers change the state
+/// under the same mutex and then call [`WaitQueue::notify_all`].
 #[derive(Default)]
 pub struct WaitQueue {
     waiters: Mutex<Vec<Handle>>,
+    cv: Condvar,
+    /// Plain threads blocked on `cv`, counted under the caller's mutex so
+    /// `notify_all` can skip the condvar (a syscall) when none are.
+    sleepers: AtomicUsize,
 }
 
 impl WaitQueue {
@@ -620,12 +622,76 @@ impl WaitQueue {
     pub const fn new() -> Self {
         WaitQueue {
             waiters: Mutex::new(Vec::new()),
+            cv: Condvar::new(),
+            sleepers: AtomicUsize::new(0),
+        }
+    }
+
+    /// Block until `ready` yields a value, re-checking it under `lock`'s
+    /// guard before the first block and after every wake.
+    ///
+    /// A plain thread blocks on the condvar. An event task registers and
+    /// parks at `at` (its last recorded virtual time when `None`) while
+    /// still holding the run token, so no wake slips between check and
+    /// park. `slice` bounds the wait:
+    ///
+    /// * `None` — never times out; a stall round re-checks and parks
+    ///   again;
+    /// * `Some(Duration::ZERO)` — checks once and never blocks;
+    /// * `Some(d)` — returns `None` after `d` of real time, or on a
+    ///   stall round (`Wake::Stalled`), so the caller can re-check
+    ///   liveness between slices.
+    pub fn wait<T, R>(
+        &self,
+        lock: &Mutex<T>,
+        slice: Option<Duration>,
+        at: Option<SimTime>,
+        mut ready: impl FnMut(&mut T) -> Option<R>,
+    ) -> Option<R> {
+        const POISONED: &str = "a waiter's lock holder panicked";
+        let task = is_event_task();
+        let deadline = if task {
+            None
+        } else {
+            slice.map(|s| Instant::now() + s)
+        };
+        let mut g = lock.lock().expect(POISONED);
+        loop {
+            if let Some(r) = ready(&mut g) {
+                return Some(r);
+            }
+            if slice == Some(Duration::ZERO) {
+                return None;
+            }
+            if task {
+                self.register_current();
+                drop(g);
+                let wake = match at {
+                    Some(now) => park(now),
+                    None => park_stale(),
+                };
+                if wake == Wake::Stalled && slice.is_some() {
+                    return None;
+                }
+                g = lock.lock().expect(POISONED);
+            } else {
+                let left = deadline.map(|d| d.saturating_duration_since(Instant::now()));
+                if left == Some(Duration::ZERO) {
+                    return None;
+                }
+                self.sleepers.fetch_add(1, Ordering::SeqCst);
+                g = match left {
+                    Some(left) => self.cv.wait_timeout(g, left).expect(POISONED).0,
+                    None => self.cv.wait(g).expect(POISONED),
+                };
+                self.sleepers.fetch_sub(1, Ordering::SeqCst);
+            }
         }
     }
 
     /// Register the current task (if any); duplicates are ignored, so
     /// re-registering on every loop iteration is fine.
-    pub fn register_current(&self) {
+    fn register_current(&self) {
         if let Some(h) = current() {
             let mut w = relock(self.waiters.lock());
             if !w.iter().any(|x| x.same_task(&h)) {
@@ -634,8 +700,14 @@ impl WaitQueue {
         }
     }
 
-    /// Wake every registered task and clear the queue.
-    pub fn wake_all(&self) {
+    /// Wake every waiter: blocked threads and registered tasks (the
+    /// queue is cleared; woken tasks re-register if they park again).
+    pub fn notify_all(&self) {
+        // A sleeper checked its predicate and registered under the mutex
+        // the producer has since released, so the count is visible here.
+        if self.sleepers.load(Ordering::SeqCst) > 0 {
+            self.cv.notify_all();
+        }
         let drained = {
             let mut w = relock(self.waiters.lock());
             if w.is_empty() {
@@ -660,7 +732,6 @@ impl std::fmt::Debug for WaitQueue {
 mod tests {
     use super::*;
     use simclock::SimDuration;
-    use std::sync::atomic::{AtomicUsize, Ordering};
 
     /// Run `bodies` as root tasks under one scheduler; returns stats.
     fn run_tasks(bodies: Vec<Box<dyn FnOnce() + Send>>) -> Stats {
@@ -706,7 +777,7 @@ mod tests {
                 for i in 0..100 {
                     t += SimDuration::from_ns(10);
                     s1.lock().unwrap().push(i);
-                    w1.wake_all();
+                    w1.notify_all();
                     park(t);
                 }
             }),
@@ -839,8 +910,86 @@ mod tests {
                 }
             }),
             Box::new(move || {
-                w2.wake_all();
+                w2.notify_all();
             }),
         ]);
+        // Plain threads: a notify issued (and finished) before the
+        // consumer waits is not lost either — `wait` re-checks the state
+        // under the lock before it ever blocks on the condvar.
+        let pair = Arc::new((Mutex::new(false), WaitQueue::new()));
+        let p2 = Arc::clone(&pair);
+        std::thread::spawn(move || {
+            *p2.0.lock().unwrap() = true;
+            p2.1.notify_all();
+        })
+        .join()
+        .unwrap();
+        let slice = Duration::from_secs(10);
+        let start = Instant::now();
+        let got = pair
+            .1
+            .wait(&pair.0, Some(slice), None, |set| set.then_some(()));
+        assert_eq!(got, Some(()), "notify before wait was lost");
+        assert!(start.elapsed() < slice, "waited out the slice");
+    }
+
+    #[test]
+    fn timed_wait_off_task_returns_none_after_slice() {
+        let wq = WaitQueue::new();
+        let m = Mutex::new(0u32);
+        let slice = Duration::from_millis(20);
+        let start = Instant::now();
+        let got = wq.wait(&m, Some(slice), None, |checks| {
+            *checks += 1;
+            None::<()>
+        });
+        assert_eq!(got, None);
+        assert!(start.elapsed() >= slice, "returned before its slice");
+        assert!(*m.lock().unwrap() >= 1);
+    }
+
+    #[test]
+    fn zero_slice_never_parks() {
+        // Off a task: one check, no condvar wait.
+        let wq = WaitQueue::new();
+        let m = Mutex::new(0u32);
+        let zero = Some(Duration::ZERO);
+        let bump = |n: &mut u32| -> Option<()> {
+            *n += 1;
+            None
+        };
+        assert_eq!(wq.wait(&m, zero, None, bump), None);
+        assert_eq!(*m.lock().unwrap(), 1);
+        // On a task: no park event and no stall round — the only event
+        // is the task's own retirement.
+        let stats = run_tasks(vec![Box::new(move || {
+            let wq = WaitQueue::new();
+            let m = Mutex::new(0u32);
+            for _ in 0..10 {
+                assert_eq!(wq.wait(&m, zero, Some(SimTime::ZERO), bump), None);
+            }
+            assert_eq!(*m.lock().unwrap(), 10);
+        })]);
+        assert_eq!((stats.events, stats.stalls), (1, 0));
+    }
+
+    #[test]
+    fn untimed_wait_survives_a_stall_round() {
+        // A lone task whose condition holds on the second check: the
+        // stall round wakes it, and an untimed wait re-checks instead of
+        // returning, while a timed wait maps the same wake to `None`.
+        let stats = run_tasks(vec![Box::new(|| {
+            let wq = WaitQueue::new();
+            let m = Mutex::new(0u32);
+            let second = |n: &mut u32| {
+                *n += 1;
+                (*n > 1).then_some(*n)
+            };
+            assert_eq!(wq.wait(&m, None, None, second), Some(2));
+            *m.lock().unwrap() = 0;
+            let slice = Some(Duration::from_millis(10));
+            assert_eq!(wq.wait(&m, slice, Some(SimTime::ZERO), second), None);
+        })]);
+        assert_eq!(stats.stalls, 2);
     }
 }

@@ -14,37 +14,53 @@
 //! (set); contended acquisitions additionally wait for the holder's
 //! virtual release time.
 //!
-//! Under the event backend (`docs/SCHEDULER.md`) a contended acquisition
-//! or barrier arrival parks the calling *task* instead of blocking on the
-//! condvar: release/completion wakes the registered waiters through a
-//! [`sched::WaitQueue`], so dispatch order — and therefore lock handover
+//! Contended acquisitions and barrier arrivals block in
+//! [`sched::WaitQueue::wait`]: a rank thread blocks on the queue's
+//! condvar, while under the event backend (`docs/SCHEDULER.md`) the
+//! calling *task* parks, so dispatch order — and therefore lock handover
 //! order — is the scheduler's deterministic `(time, rank, seq)` order.
 
 use crate::{ProcId, SmiWorld};
 use simclock::{clock::barrier_release, Clock, SimDuration, SimTime};
 use std::sync::Arc;
-use std::sync::{Condvar, Mutex, MutexGuard, TryLockError};
+use std::sync::Mutex;
+use std::time::Duration;
 
 /// A lock whose lock word lives in the shared memory of `owner`'s node.
 #[derive(Debug)]
 pub struct SmiLock {
     world: Arc<SmiWorld>,
     owner: ProcId,
-    /// Virtual time at which the lock was last released, protected by the
-    /// real mutex that provides actual exclusion between rank threads.
-    state: Mutex<SimTime>,
-    /// Event-backend tasks parked on a contended acquire.
+    /// Whether the lock is held, and the virtual time of its last
+    /// release.
+    state: Mutex<LockState>,
+    /// Acquirers blocked on a held lock.
     waiters: sched::WaitQueue,
+}
+
+#[derive(Debug, Default)]
+struct LockState {
+    held: bool,
+    released_at: SimTime,
+}
+
+impl LockState {
+    /// Take the lock if it is free, returning its last release time.
+    fn take(&mut self) -> Option<SimTime> {
+        (!self.held).then(|| {
+            self.held = true;
+            self.released_at
+        })
+    }
 }
 
 /// Exclusive access to an [`SmiLock`]. Call [`SmiLockGuard::release`] to
 /// unlock with correct virtual-time accounting; dropping the guard without
-/// releasing unlocks too (so poisoned paths cannot deadlock) but then the
+/// releasing unlocks too (so panicking paths cannot deadlock) but then the
 /// next holder does not observe this holder's critical-section time.
 #[derive(Debug)]
 pub struct SmiLockGuard<'a> {
-    inner: Option<MutexGuard<'a, SimTime>>,
-    waiters: &'a sched::WaitQueue,
+    lock: Option<&'a SmiLock>,
 }
 
 impl SmiLock {
@@ -56,7 +72,7 @@ impl SmiLock {
         SmiLock {
             world,
             owner,
-            state: Mutex::new(SimTime::ZERO),
+            state: Mutex::new(LockState::default()),
             waiters: sched::WaitQueue::new(),
         }
     }
@@ -81,58 +97,58 @@ impl SmiLock {
     }
 
     /// Acquire the lock for process `p`, blocking the calling thread until
-    /// the real mutex is free and charging `clock` for the SCI traffic and
-    /// for any virtual wait on the previous holder.
+    /// the lock is free and charging `clock` for the SCI traffic and for
+    /// any virtual wait on the previous holder.
     pub fn acquire<'a>(&'a self, clock: &mut Clock, p: ProcId) -> SmiLockGuard<'a> {
-        let guard = if sched::is_event_task() {
-            // A task must never block on the real mutex while holding the
-            // run token (the holder may itself be parked): try, park,
-            // retry on wake. The scheduler's dispatch order makes the
-            // handover deterministic.
-            loop {
-                match self.state.try_lock() {
-                    Ok(g) => break g,
-                    Err(TryLockError::WouldBlock) => {
-                        self.waiters.register_current();
-                        sched::park(clock.now());
-                    }
-                    Err(TryLockError::Poisoned(e)) => {
-                        panic!("SmiLock state poisoned: {e}")
-                    }
-                }
-            }
-        } else {
-            self.state.lock().unwrap()
-        };
-        obs::inc(obs::Counter::SmiLockAcquires);
-        // Wait (in virtual time) for the previous holder's release.
-        obs::attrib::merge_waited(clock, *guard, obs::WaitKind::Lock, None);
-        obs::attrib::advance(clock, obs::Bucket::Transfer, self.acquire_cost(p));
-        SmiLockGuard {
-            inner: Some(guard),
-            waiters: &self.waiters,
-        }
+        let released_at = self
+            .waiters
+            .wait(&self.state, None, Some(clock.now()), LockState::take)
+            .expect("an untimed wait always delivers");
+        self.granted(clock, released_at, self.acquire_cost(p))
     }
 
     /// Try to acquire without blocking the thread. Charges the probe cost
     /// either way (the remote check happens regardless of success).
     pub fn try_acquire<'a>(&'a self, clock: &mut Clock, p: ProcId) -> Option<SmiLockGuard<'a>> {
         let probe = self.acquire_cost(p);
-        match self.state.try_lock() {
-            Ok(guard) => {
-                obs::inc(obs::Counter::SmiLockAcquires);
-                obs::attrib::merge_waited(clock, *guard, obs::WaitKind::Lock, None);
-                obs::attrib::advance(clock, obs::Bucket::Transfer, probe);
-                Some(SmiLockGuard {
-                    inner: Some(guard),
-                    waiters: &self.waiters,
-                })
-            }
-            Err(_) => {
+        let taken = self.state.lock().unwrap().take();
+        match taken {
+            Some(released_at) => Some(self.granted(clock, released_at, probe)),
+            None => {
                 obs::attrib::advance(clock, obs::Bucket::Transfer, probe);
                 None
             }
         }
+    }
+
+    /// Charge a successful acquisition: wait (in virtual time) for the
+    /// previous holder's release, then pay the lock traffic.
+    fn granted(
+        &self,
+        clock: &mut Clock,
+        released_at: SimTime,
+        cost: SimDuration,
+    ) -> SmiLockGuard<'_> {
+        obs::inc(obs::Counter::SmiLockAcquires);
+        obs::attrib::merge_waited(clock, released_at, obs::WaitKind::Lock, None);
+        obs::attrib::advance(clock, obs::Bucket::Transfer, cost);
+        SmiLockGuard { lock: Some(self) }
+    }
+
+    /// Free the lock, recording `at` as the release time when given.
+    fn unlock(&self, at: Option<SimTime>) {
+        // Runs from `Drop` too, so it must not panic: every update of the
+        // state is a single field store, valid after any interruption.
+        let mut st = self
+            .state
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        st.held = false;
+        if let Some(at) = at {
+            st.released_at = at;
+        }
+        drop(st);
+        self.waiters.notify_all();
     }
 
     /// The process whose node hosts the lock word.
@@ -146,20 +162,18 @@ impl SmiLockGuard<'_> {
     /// acquirer waits for it.
     pub fn release(mut self, clock: &mut Clock) {
         obs::attrib::advance(clock, obs::Bucket::Transfer, SmiLock::LOCAL_OP);
-        if let Some(mut inner) = self.inner.take() {
-            *inner = clock.now();
-            drop(inner);
-            self.waiters.wake_all();
+        if let Some(lock) = self.lock.take() {
+            lock.unlock(Some(clock.now()));
         }
     }
 }
 
 impl Drop for SmiLockGuard<'_> {
     fn drop(&mut self) {
-        // Drop-without-release (poisoned paths) must still wake parked
-        // event tasks or they would stall until the next liveness sweep.
-        if self.inner.take().is_some() {
-            self.waiters.wake_all();
+        // Drop-without-release (panicking paths) must still free the
+        // lock and wake its waiters.
+        if let Some(lock) = self.lock.take() {
+            lock.unlock(None);
         }
     }
 }
@@ -172,8 +186,7 @@ pub struct TimeBarrier {
     n: usize,
     per_hop: SimDuration,
     state: Mutex<BarrierState>,
-    cv: Condvar,
-    /// Event-backend tasks parked waiting for the generation to advance.
+    /// Participants waiting for the generation to advance.
     waiters: sched::WaitQueue,
 }
 
@@ -186,6 +199,9 @@ struct BarrierState {
 }
 
 impl TimeBarrier {
+    /// Real-time slice between `cancel` polls in [`Self::wait_cancel`].
+    const CANCEL_POLL: Duration = Duration::from_millis(10);
+
     /// A barrier for `n` participants with a per-tree-level cost of
     /// `per_hop` (use the fabric's store latency for SCI barriers).
     pub fn new(n: usize, per_hop: SimDuration) -> Self {
@@ -194,7 +210,6 @@ impl TimeBarrier {
             n,
             per_hop,
             state: Mutex::new(BarrierState::default()),
-            cv: Condvar::new(),
             waiters: sched::WaitQueue::new(),
         }
     }
@@ -209,41 +224,20 @@ impl TimeBarrier {
     /// Returns `true` on the "leader" (last arriver), mirroring
     /// `std::sync::Barrier`.
     pub fn wait(&self, clock: &mut Clock) -> bool {
-        obs::inc(obs::Counter::BarrierCrossings);
-        let mut st = self.state.lock().unwrap();
-        st.arrived += 1;
-        st.max_arrival = st.max_arrival.max(clock.now());
-        if st.arrived == self.n {
-            let arrivals = [st.max_arrival];
-            st.release = barrier_release(&arrivals, self.per_hop, self.n);
-            st.arrived = 0;
-            st.max_arrival = SimTime::ZERO;
-            st.generation += 1;
-            let release = st.release;
-            drop(st);
-            self.cv.notify_all();
-            self.waiters.wake_all();
-            obs::attrib::merge_waited(clock, release, obs::WaitKind::Barrier, None);
-            true
-        } else {
-            let gen = st.generation;
-            if sched::is_event_task() {
-                while st.generation == gen {
-                    self.waiters.register_current();
-                    drop(st);
-                    sched::park(clock.now());
-                    st = self.state.lock().unwrap();
-                }
-            } else {
-                while st.generation == gen {
-                    st = self.cv.wait(st).unwrap();
-                }
+        let (release, leader) = match self.arrive(clock) {
+            Ok(release) => (release, true),
+            Err(gen) => {
+                let release = self
+                    .waiters
+                    .wait(&self.state, None, Some(clock.now()), |st| {
+                        (st.generation != gen).then_some(st.release)
+                    })
+                    .expect("an untimed wait always delivers");
+                (release, false)
             }
-            let release = st.release;
-            drop(st);
-            obs::attrib::merge_waited(clock, release, obs::WaitKind::Barrier, None);
-            false
-        }
+        };
+        obs::attrib::merge_waited(clock, release, obs::WaitKind::Barrier, None);
+        leader
     }
 
     /// Enter the barrier, but keep polling `cancel` while blocked: if it
@@ -260,50 +254,53 @@ impl TimeBarrier {
         clock: &mut Clock,
         mut cancel: impl FnMut() -> Option<SimTime>,
     ) -> Result<(), SimTime> {
+        let release = match self.arrive(clock) {
+            Ok(release) => release,
+            Err(gen) => loop {
+                // `cancel` has no wake edge: re-poll it every slice (a
+                // stall round under the event backend).
+                let outcome = self.waiters.wait(
+                    &self.state,
+                    Some(Self::CANCEL_POLL),
+                    Some(clock.now()),
+                    |st| {
+                        if st.generation != gen {
+                            return Some(Ok(st.release));
+                        }
+                        let at = cancel()?;
+                        st.arrived -= 1;
+                        Some(Err(at))
+                    },
+                );
+                if let Some(outcome) = outcome {
+                    break outcome?;
+                }
+            },
+        };
+        obs::attrib::merge_waited(clock, release, obs::WaitKind::Barrier, None);
+        Ok(())
+    }
+
+    /// Count this participant's arrival. The last arriver completes the
+    /// generation, wakes the others and gets `Ok(release time)`; everyone
+    /// else gets `Err(generation)` to wait on.
+    fn arrive(&self, clock: &Clock) -> Result<SimTime, u64> {
         obs::inc(obs::Counter::BarrierCrossings);
         let mut st = self.state.lock().unwrap();
         st.arrived += 1;
         st.max_arrival = st.max_arrival.max(clock.now());
-        if st.arrived == self.n {
-            let arrivals = [st.max_arrival];
-            st.release = barrier_release(&arrivals, self.per_hop, self.n);
-            st.arrived = 0;
-            st.max_arrival = SimTime::ZERO;
-            st.generation += 1;
-            let release = st.release;
-            drop(st);
-            self.cv.notify_all();
-            self.waiters.wake_all();
-            obs::attrib::merge_waited(clock, release, obs::WaitKind::Barrier, None);
-            return Ok(());
+        if st.arrived < self.n {
+            return Err(st.generation);
         }
-        let gen = st.generation;
-        loop {
-            if st.generation != gen {
-                let release = st.release;
-                drop(st);
-                obs::attrib::merge_waited(clock, release, obs::WaitKind::Barrier, None);
-                return Ok(());
-            }
-            if let Some(at) = cancel() {
-                st.arrived -= 1;
-                return Err(at);
-            }
-            if sched::is_event_task() {
-                // A stall round re-runs `cancel` — the event-backend
-                // equivalent of this condvar's 10 ms poll slice.
-                self.waiters.register_current();
-                drop(st);
-                sched::park(clock.now());
-                st = self.state.lock().unwrap();
-            } else {
-                let (guard, _timeout) = self
-                    .cv
-                    .wait_timeout(st, std::time::Duration::from_millis(10))
-                    .unwrap();
-                st = guard;
-            }
-        }
+        let arrivals = [st.max_arrival];
+        st.release = barrier_release(&arrivals, self.per_hop, self.n);
+        st.arrived = 0;
+        st.max_arrival = SimTime::ZERO;
+        st.generation += 1;
+        let release = st.release;
+        drop(st);
+        self.waiters.notify_all();
+        Ok(release)
     }
 }
 
