@@ -57,10 +57,14 @@ pub struct PioStream {
     silent_faults: u64,
     /// True if a silent fault hit the current sequence-check interval.
     seq_tainted: bool,
-    /// Write-combining batch staged by [`Self::write_batched`]: start
-    /// offset and the contiguous bytes accumulated so far, waiting either
-    /// for a batch-aligned boundary or an explicit [`Self::flush_wc`].
-    wc_pending: Option<(usize, Vec<u8>)>,
+    /// Write-combining window staged by [`Self::write_batched`]: the
+    /// contiguous bytes `wc_buf` accumulated from segment offset
+    /// `wc_start`, waiting either for a batch-aligned boundary or an
+    /// explicit [`Self::flush_wc`]. An empty buffer means nothing is
+    /// staged. The buffer is reused for the stream's lifetime, so staging
+    /// and draining never allocate once it has grown to the window size.
+    wc_start: usize,
+    wc_buf: Vec<u8>,
     /// Link-contention registration for the stream's lifetime.
     _guard: Option<StreamGuard>,
 }
@@ -82,7 +86,8 @@ impl PioStream {
             demand_cap: None,
             silent_faults: 0,
             seq_tainted: false,
-            wc_pending: None,
+            wc_start: 0,
+            wc_buf: Vec::new(),
             _guard: guard,
         }
     }
@@ -260,15 +265,14 @@ impl PioStream {
         if data.is_empty() {
             return Ok(());
         }
-        let fabric = Arc::clone(&self.fabric);
-        let params = fabric.params();
-
         if self.mapping.is_local() {
             // Intra-node: a plain memcpy through the cache hierarchy —
             // never subject to fabric faults.
             self.mapping.segment.mem().write(offset, data)?;
             self.bytes += data.len() as u64;
-            let cost = params
+            let cost = self
+                .fabric
+                .params()
                 .cache
                 .copy_cost(data.len(), self.source_working_set.max(data.len()));
             clock.advance(cost);
@@ -282,6 +286,7 @@ impl PioStream {
         // A degraded stream returns to its primary route the moment that
         // route is healthy again.
         self.maybe_heal();
+        let params = self.fabric.params();
         let continues = self.next_offset == Some(offset);
         let misaligned_thrash = !continues
             && !offset.is_multiple_of(params.write_combine_bytes)
@@ -299,13 +304,7 @@ impl PioStream {
             let outcome = self.transact_with_failover(clock, stores)?;
             self.land(offset, data, 8)?;
             clock.advance(cost + outcome.extra_latency);
-            let arrival =
-                clock.now() + params.wire_latency(self.mapping.route.hops()) + outcome.jitter;
-            self.outstanding = self.outstanding.max(arrival);
-            self.next_offset = Some(offset + data.len());
-            self.fabric
-                .links()
-                .account(params, &self.mapping.route, data.len() as u64);
+            self.post_burst(clock, offset, data.len(), outcome.jitter);
             return Ok(());
         }
         let mut cost = SimDuration::ZERO;
@@ -339,22 +338,26 @@ impl PioStream {
 
         // Fault injection: retries add latency and delivery jitter, one
         // die roll per SCI transaction.
-        let txns = data.len().div_ceil(params.stream_buffer_bytes) as u64;
+        let txn_bytes = params.stream_buffer_bytes;
+        let txns = data.len().div_ceil(txn_bytes) as u64;
         let outcome = self.transact_with_failover(clock, txns)?;
-        self.land(offset, data, params.stream_buffer_bytes)?;
+        self.land(offset, data, txn_bytes)?;
         cost += outcome.extra_latency;
-
         clock.advance(cost);
-        let arrival = clock.now()
-            + self.fabric.params().wire_latency(self.mapping.route.hops())
-            + outcome.jitter;
-        self.outstanding = self.outstanding.max(arrival);
-        self.next_offset = Some(offset + data.len());
+        self.post_burst(clock, offset, data.len(), outcome.jitter);
+        Ok(())
+    }
 
+    /// Bookkeeping after a burst of `len` bytes at `offset` was charged:
+    /// record its arrival time, extend the burst and account link load.
+    fn post_burst(&mut self, clock: &Clock, offset: usize, len: usize, jitter: SimDuration) {
+        let params = self.fabric.params();
+        let arrival = clock.now() + params.wire_latency(self.mapping.route.hops()) + jitter;
+        self.outstanding = self.outstanding.max(arrival);
+        self.next_offset = Some(offset + len);
         self.fabric
             .links()
-            .account(params, &self.mapping.route, data.len() as u64);
-        Ok(())
+            .account(params, &self.mapping.route, len as u64);
     }
 
     /// Issue stores of `data` to `offset` through the **write-combining
@@ -388,16 +391,14 @@ impl PioStream {
         let params = self.fabric.params();
         let batch = params.wc_batch_bytes.max(1);
         let store_cost = params.wc_store_cost;
-        if let Some((start, buf)) = self.wc_pending.as_mut() {
-            let end = *start + buf.len();
-            if offset >= *start && offset <= end {
+        if !self.wc_buf.is_empty() {
+            let end = self.wc_start + self.wc_buf.len();
+            if offset >= self.wc_start && offset <= end {
                 // Adjacent or overlapping: merge into the combine window.
-                let rel = offset - *start;
-                let new_end = rel + data.len();
-                if buf.len() < new_end {
-                    buf.resize(new_end, 0);
-                }
-                buf[rel..new_end].copy_from_slice(data);
+                let rel = offset - self.wc_start;
+                let overlap = (self.wc_buf.len() - rel).min(data.len());
+                self.wc_buf[rel..rel + overlap].copy_from_slice(&data[..overlap]);
+                self.wc_buf.extend_from_slice(&data[overlap..]);
                 obs::inc(obs::Counter::WcCoalescedStores);
                 clock.advance(store_cost);
                 return self.drain_aligned(clock, batch);
@@ -411,45 +412,55 @@ impl PioStream {
             return self.write(clock, offset, data);
         }
         clock.advance(store_cost);
-        self.wc_pending = Some((offset, data.to_vec()));
+        self.wc_start = offset;
+        self.wc_buf.extend_from_slice(data);
         self.drain_aligned(clock, batch)
     }
 
     /// Flush every complete `batch`-aligned chunk from the front of the
-    /// combine window, keeping the unaligned tail staged.
+    /// combine window, keeping the unaligned tail staged. A failed chunk
+    /// discards the whole window.
     fn drain_aligned(&mut self, clock: &mut Clock, batch: usize) -> Result<(), SciError> {
-        let Some((mut start, mut buf)) = self.wc_pending.take() else {
-            return Ok(());
-        };
+        // The buffer leaves `self` while `write` borrows it; taking an
+        // empty `Vec` in its place does not allocate.
+        let mut buf = std::mem::take(&mut self.wc_buf);
+        let mut done = 0;
+        let mut result = Ok(());
         loop {
-            let boundary = (start / batch + 1) * batch;
-            let chunk = boundary - start;
-            if buf.len() < chunk {
+            let start = self.wc_start + done;
+            let chunk = (start / batch + 1) * batch - start;
+            if buf.len() - done < chunk {
                 break;
             }
-            let rest = buf.split_off(chunk);
-            self.write(clock, start, &buf)?;
-            start = boundary;
-            buf = rest;
+            result = self.write(clock, start, &buf[done..done + chunk]);
+            if result.is_err() {
+                done = buf.len();
+                break;
+            }
+            done += chunk;
         }
-        if !buf.is_empty() {
-            self.wc_pending = Some((start, buf));
-        }
-        Ok(())
+        buf.drain(..done);
+        self.wc_start += done;
+        self.wc_buf = buf;
+        result
     }
 
     /// Flush the write-combining window: issue whatever is staged as one
     /// final (possibly partial) chunk. No-op when nothing is pending.
     pub fn flush_wc(&mut self, clock: &mut Clock) -> Result<(), SciError> {
-        if let Some((start, buf)) = self.wc_pending.take() {
-            self.write(clock, start, &buf)?;
+        if self.wc_buf.is_empty() {
+            return Ok(());
         }
-        Ok(())
+        let mut buf = std::mem::take(&mut self.wc_buf);
+        let result = self.write(clock, self.wc_start, &buf);
+        buf.clear();
+        self.wc_buf = buf;
+        result
     }
 
     /// Bytes currently staged in the write-combining window (diagnostics).
     pub fn wc_pending_bytes(&self) -> usize {
-        self.wc_pending.as_ref().map_or(0, |(_, b)| b.len())
+        self.wc_buf.len()
     }
 
     /// Convenience: a strided series of equal-sized writes starting at
@@ -481,9 +492,7 @@ impl PioStream {
         // barrier; a batch still staged here would otherwise lose bytes.
         // Errors were already surfaced at stage time by the eager bounds
         // check, so a best-effort flush is safe.
-        if self.wc_pending.is_some() {
-            let _ = self.flush_wc(clock);
-        }
+        let _ = self.flush_wc(clock);
         clock.merge(self.outstanding);
         clock.advance(self.fabric.params().store_barrier);
         self.next_offset = None;

@@ -235,9 +235,21 @@ impl Topology {
         }
     }
 
-    /// Ring distance (request hops) from `src` to `dst`.
+    /// Ring distance (request hops) from `src` to `dst`: the
+    /// [`Route::hops`] of [`Topology::route`], in closed form.
     pub fn distance(&self, src: NodeId, dst: NodeId) -> usize {
-        self.route(src, dst).hops()
+        if src == dst {
+            return 0;
+        }
+        let (ring_s, pos_s, len_s) = self.locate(src);
+        let (ring_d, pos_d, _) = self.locate(dst);
+        if ring_s == ring_d {
+            (pos_d + len_s - pos_s) % len_s
+        } else {
+            // To the source ring's port, one switch crossing, then from
+            // the target ring's port.
+            (len_s - pos_s) % len_s + 1 + pos_d
+        }
     }
 
     /// Iterate over all node ids.
@@ -299,6 +311,20 @@ mod tests {
         assert_eq!(t.distance(NodeId(0), NodeId(7)), 7);
         assert_eq!(t.distance(NodeId(7), NodeId(0)), 1);
         assert_eq!(t.distance(NodeId(3), NodeId(3)), 0);
+    }
+
+    #[test]
+    fn closed_form_distance_counts_route_hops() {
+        let mut topos: Vec<Topology> = (1..=9).map(Topology::ringlet).collect();
+        topos.push(Topology::multi_ring(2, 4));
+        topos.push(Topology::multi_ring(8, 8));
+        for t in &topos {
+            for a in t.nodes() {
+                for b in t.nodes() {
+                    assert_eq!(t.distance(a, b), t.route(a, b).hops(), "{t:?} {a}->{b}");
+                }
+            }
+        }
     }
 
     #[test]

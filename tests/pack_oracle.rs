@@ -8,10 +8,18 @@
 //! datatype-gallery types through `find_position`, checking that resumed
 //! partial packs splice back into the full stream bit-identically.
 //!
+//! Both suites also check the `PackStats` the loop returns, because the
+//! protocol layer charges virtual pack time from them: a full pack counts
+//! exactly the committed blocks, unpacking the stream counts what packing
+//! it did, and resumed pieces add up to the whole pack.
+//!
 //! `PACK_ORACLE_SEED=<n>` re-seeds the random trees (CI runs three fixed
 //! seeds); the default seed is used otherwise.
 
-use mpi_datatype::{ff, layout_cache, subarray, tree, ArrayOrder, Committed, Datatype, FfPosition};
+use mpi_datatype::{
+    ff, layout_cache, subarray, tree, ArrayOrder, Committed, Datatype, FfPosition, FlatLeaf,
+    PackStats,
+};
 use simclock::SplitMix64;
 
 fn oracle_seed() -> u64 {
@@ -127,14 +135,42 @@ fn assert_ff_matches_reference(dt: &Datatype, count: usize) {
 
     let c = Committed::commit(dt);
     let mut sink = ff::VecSink::default();
-    ff::pack_ff(&c, count, &src, 0, 0, usize::MAX, &mut sink).unwrap();
+    let stats = ff::pack_ff(&c, count, &src, 0, 0, usize::MAX, &mut sink).unwrap();
     assert_eq!(sink.data, reference, "ff diverged from reference for {dt}");
+    assert_full_stats(&c, count, stats);
+    assert_eq!(
+        unpack_stats(&c, count, 0, &sink.data),
+        stats,
+        "unpack stats differ from pack stats for {dt}"
+    );
 
     // Commit-time invariant: the zero-extent shapes above must never
     // leave a zero-length leaf that would emit empty stores.
     for leaf in c.leaves() {
         assert!(leaf.len > 0, "zero-length leaf survived commit for {dt}");
     }
+}
+
+/// A full pack of `count` instances moves every payload byte once and
+/// emits each committed block exactly once, one stack step per block.
+fn assert_full_stats(c: &Committed, count: usize, stats: PackStats) {
+    let blocks = c.leaves().iter().map(FlatLeaf::block_count).sum::<usize>() * count;
+    let expected = PackStats {
+        bytes: c.size() * count,
+        blocks,
+        visits: blocks,
+    };
+    assert_eq!(stats, expected, "full-pack stats for {}", c.datatype());
+}
+
+/// Stats of unpacking `packed` as the stream range starting at `skip`.
+fn unpack_stats(c: &Committed, count: usize, skip: usize, packed: &[u8]) -> PackStats {
+    let span = count.saturating_sub(1) * c.extent() + c.datatype().ub().max(0) as usize;
+    let mut dst = vec![0u8; span + 16];
+    let mut source = ff::SliceSource::new(packed);
+    let stats = ff::unpack_ff(c, count, &mut dst, 0, skip, packed.len(), &mut source).unwrap();
+    assert_eq!(source.consumed(), packed.len());
+    stats
 }
 
 /// Differential oracle with the layout cache ON (the default).
@@ -209,6 +245,9 @@ fn resume_splices_bit_identically_at_every_offset() {
         let src = source_buffer(&dt, count);
         let whole = reference_pack(&dt, count, &src);
         assert_eq!(whole.len(), total);
+        let mut full = ff::VecSink::default();
+        let whole_stats = ff::pack_ff(&c, count, &src, 0, 0, usize::MAX, &mut full).unwrap();
+        assert_full_stats(&c, count, whole_stats);
 
         for split in 0..=total {
             // The resume point must resolve for every in-range offset…
@@ -219,10 +258,26 @@ fn resume_splices_bit_identically_at_every_offset() {
             // …and the two halves packed separately must splice into the
             // full stream.
             let mut head = ff::VecSink::default();
-            ff::pack_ff(&c, count, &src, 0, 0, split, &mut head).unwrap();
+            let head_stats = ff::pack_ff(&c, count, &src, 0, 0, split, &mut head).unwrap();
             let mut tail = ff::VecSink::default();
-            ff::pack_ff(&c, count, &src, 0, split, usize::MAX, &mut tail).unwrap();
+            let tail_stats = ff::pack_ff(&c, count, &src, 0, split, usize::MAX, &mut tail).unwrap();
             assert_eq!(head.data.len(), split, "short head at {split} for {dt}");
+            // The pieces' stats add up to the whole pack's. A split inside
+            // a block hands that block to both pieces, so it counts twice.
+            let cut = usize::from(pos.is_some_and(|p| p.intra > 0));
+            let mut summed = head_stats;
+            summed.merge(tail_stats);
+            let expected = PackStats {
+                bytes: whole_stats.bytes,
+                blocks: whole_stats.blocks + cut,
+                visits: whole_stats.visits + cut,
+            };
+            assert_eq!(summed, expected, "piece stats at {split} for {dt}");
+            assert_eq!(
+                unpack_stats(&c, count, split, &tail.data),
+                tail_stats,
+                "unpack stats differ from pack stats at {split} for {dt}"
+            );
             let mut spliced = head.data;
             spliced.extend_from_slice(&tail.data);
             assert_eq!(spliced, whole, "splice mismatch at {split} for {dt}");
@@ -249,8 +304,9 @@ fn degenerate_types_pack_to_empty_or_exact_streams() {
             let reference = reference_pack(dt, count, &src);
             let c = Committed::commit(dt);
             let mut sink = ff::VecSink::default();
-            ff::pack_ff(&c, count, &src, 0, 0, usize::MAX, &mut sink).unwrap();
+            let stats = ff::pack_ff(&c, count, &src, 0, 0, usize::MAX, &mut sink).unwrap();
             assert_eq!(sink.data, reference, "degenerate {dt} x{count}");
+            assert_full_stats(&c, count, stats);
             assert_eq!(sink.data.len(), dt.size() * count);
         }
     }
