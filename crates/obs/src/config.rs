@@ -11,8 +11,8 @@ use std::path::PathBuf;
 /// snapshot).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ObsConfig {
-    /// Master switch. When `false`, every hook in the stack is one
-    /// relaxed atomic load and a branch.
+    /// Master switch, set on every thread of the run. When `false`,
+    /// every hook in the stack is one thread-local load and a branch.
     pub enabled: bool,
     /// If set, write a Chrome `trace_event` JSON here at teardown.
     pub trace_path: Option<PathBuf>,
