@@ -752,6 +752,11 @@ pub(crate) fn recv_into_inner(
                     .mem()
                     .read(slot_off, &mut data)
                     .expect("slot read in range");
+                let post_ack = |arrival, ok| {
+                    world.mailboxes[env.src]
+                        .post_ctrl(sender_handle(handle), Ctrl::ChunkAck { arrival, ok })
+                };
+                let mut ack = None;
                 if let Some(expect) = crc {
                     // EndToEnd framing: verify the slot image and
                     // acknowledge. A NACK keeps the slot held so the
@@ -760,14 +765,9 @@ pub(crate) fn recv_into_inner(
                     let ok = crc32(&data) == expect;
                     attrib::advance(clock, Bucket::Transfer, world.tuning.ctrl_send_cost);
                     let ack_arrival = clock.now() + world.ctrl_latency(rank, env.src);
-                    world.mailboxes[env.src].post_ctrl(
-                        sender_handle(handle),
-                        Ctrl::ChunkAck {
-                            arrival: ack_arrival,
-                            ok,
-                        },
-                    );
+                    ack = Some(ack_arrival);
                     if !ok {
+                        post_ack(ack_arrival, false);
                         obs::inc(obs::Counter::CorruptionsDetected);
                         obs::instant(
                             "ft.integrity.detected",
@@ -782,6 +782,13 @@ pub(crate) fn recv_into_inner(
                 }
                 unpack_into(world, clock, &mut into, skip, &data, true);
                 ring.release(slot, clock.now());
+                // A positive ack goes out only once the slot is back on the
+                // free list: the sender's next acquisition follows this ack,
+                // so the list fills in chunk order even when two receives
+                // on this pair drain on separate engine threads.
+                if let Some(arrival) = ack {
+                    post_ack(arrival, true);
+                }
                 skip += len;
                 if last {
                     break;
@@ -1263,7 +1270,7 @@ impl Rank {
         // its blocking sites (ring slots, CTS waits) park in virtual time
         // concurrently with the recv half below.
         let task = sched::spawn_handle(rank as u32, send_clock.now());
-        let observed = obs::is_enabled();
+        let obs = obs::handle();
         std::thread::scope(|scope| {
             let sender = scope.spawn({
                 let world = Arc::clone(&world);
@@ -1272,10 +1279,7 @@ impl Rank {
                     // Bind the helper to the rank's trace lane but leave
                     // it out of attribution (its clock is a fork; the
                     // rank accounts the join below as a request-wait).
-                    obs::set_thread_rank(rank as u32);
-                    if observed {
-                        obs::enable();
-                    }
+                    obs.install(rank as u32, false);
                     match task {
                         Some(h) => {
                             let out =

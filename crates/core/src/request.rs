@@ -204,12 +204,9 @@ impl<T: Send + 'static> Request<T> {
         // its blocking sites park in virtual time like any rank.
         let task = sched::spawn_handle(id, clock.now());
         let child_task = task.clone();
-        let observed = obs::is_enabled();
+        let obs = obs::handle();
         let handle = std::thread::spawn(move || {
-            obs::set_thread_rank(id);
-            if observed {
-                obs::enable();
-            }
+            obs.install(id, false);
             match child_task {
                 Some(h) => {
                     // Adoption sits inside the catch_unwind: waiting for

@@ -23,6 +23,7 @@ use sci_fabric::{Fabric, FabricSpec, FaultConfig, SciParams, Topology};
 use simclock::{Clock, SimDuration, SimTime};
 use smi::{ProcId, SharedRegion, ShregAllocator, SmiWorld, TimeBarrier};
 use std::any::Any;
+use std::cell::Cell;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -56,14 +57,15 @@ pub enum Backend {
     Event,
 }
 
-/// Statistics of the most recent [`Backend::Event`] run on this thread's
-/// process (None before the first event run). Benchmarks read the event
-/// count and queue high-water mark from here.
-static LAST_EVENT_STATS: Mutex<Option<sched::Stats>> = Mutex::new(None);
+thread_local! {
+    static EVENT_STATS: Cell<Option<sched::Stats>> = const { Cell::new(None) };
+}
 
-/// Scheduler statistics of the most recent [`Backend::Event`] run.
+/// Scheduler statistics of the most recent [`Backend::Event`] run
+/// started on the calling thread (None before the first one).
+/// Benchmarks read the event count and queue high-water mark from here.
 pub fn last_event_stats() -> Option<sched::Stats> {
-    *LAST_EVENT_STATS.lock().unwrap()
+    EVENT_STATS.get()
 }
 
 /// Everything needed to launch a simulated cluster run.
@@ -191,9 +193,12 @@ pub(crate) struct PairRing {
     /// Backing shared region (receiver-local).
     pub region: Arc<SharedRegion>,
     /// Slot bookkeeping: free slot indices with the virtual time they were
-    /// freed. FIFO: the receiver drains slots in ascending virtual time,
+    /// freed. FIFO: one receiver drains slots in ascending virtual time,
     /// and taking the front slot keeps the sender's virtual wait
-    /// independent of real-time thread interleaving (determinism).
+    /// independent of real-time thread interleaving (determinism). Two
+    /// receives draining the ring at once keep this only under
+    /// `IntegrityMode::EndToEnd`, whose acks follow the slot's return
+    /// (see `docs/SCHEDULER.md`).
     free: Mutex<VecDeque<(usize, SimTime)>>,
     /// Senders blocked on an empty free list.
     waiters: sched::WaitQueue,
@@ -1082,17 +1087,10 @@ where
     if let Err(e) = spec.tuning.validate() {
         panic!("invalid cluster spec: {e}");
     }
-    // The recorder switch is per thread: set it here for the caller and
-    // in every rank thread below (helper threads copy it from their rank).
-    let observed = spec.obs.enabled;
-    if observed {
-        if spec.obs.reset_on_start {
-            obs::reset();
-        }
-        obs::enable();
-    } else {
-        obs::disable();
-    }
+    // An observed run records into a fresh recorder of its own, bound to
+    // the caller here and to every rank thread below (helper threads
+    // take it from their rank).
+    let obs = obs::begin_run(spec.obs.enabled);
     let fabric = Fabric::new(FabricSpec {
         topology: spec.topology.clone(),
         params: spec.params.clone(),
@@ -1165,15 +1163,9 @@ where
                 let world = Arc::clone(&world);
                 let f = &f;
                 let rank_body = &rank_body;
+                let obs = &obs;
                 joins.push(scope.spawn(move || {
-                    obs::set_thread_rank(rank as u32);
-                    if observed {
-                        obs::enable();
-                    }
-                    // Only rank threads contribute to time attribution;
-                    // engine/helper threads with forked clocks stay unmarked
-                    // so no picosecond is charged twice.
-                    obs::attrib::set_thread_attrib(true);
+                    obs.install(rank as u32, true);
                     rank_body(rank, world, f)
                 }));
             }
@@ -1193,6 +1185,7 @@ where
                     let world = Arc::clone(&world);
                     let f = &f;
                     let rank_body = &rank_body;
+                    let obs = &obs;
                     let h = sched.create_root(rank as u32);
                     let builder = std::thread::Builder::new()
                         .name(format!("rank-{rank}"))
@@ -1200,11 +1193,7 @@ where
                     joins.push(
                         builder
                             .spawn_scoped(scope, move || {
-                                obs::set_thread_rank(rank as u32);
-                                if observed {
-                                    obs::enable();
-                                }
-                                obs::attrib::set_thread_attrib(true);
+                                obs.install(rank as u32, true);
                                 // Adoption must sit inside the catch_unwind:
                                 // waiting for the first grant can itself
                                 // abort if another task panics first.
@@ -1233,9 +1222,7 @@ where
                     .map(|j| j.join().unwrap_or(None))
                     .collect()
             });
-            *LAST_EVENT_STATS
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner) = Some(sched.stats());
+            EVENT_STATS.set(Some(sched.stats()));
             if let Some(p) = sched.take_panic() {
                 std::panic::resume_unwind(p);
             }
@@ -1284,11 +1271,9 @@ where
                 .collect(),
         );
         // Build the profile (attribution table, span histograms,
-        // critical path) from a snapshot of the events so the trace
-        // exporter below still sees them; the profile stays readable
-        // in-process via `obs::report::last_profile()`.
-        let events = obs::events_snapshot();
-        obs::report::set_last(obs::report::build(&events));
+        // critical path) before the trace exporter drains the events;
+        // the profile stays readable via `obs::report::last_profile()`.
+        obs::report::build_last();
         if let Some(path) = &spec.obs.trace_path {
             if let Err(e) = obs::write_chrome_trace(path) {
                 eprintln!("obs: failed to write trace {}: {e}", path.display());

@@ -14,16 +14,15 @@
 //! clock mutation the call site performed before and only *observe* the
 //! delta, so virtual time is bit-identical with attribution on or off.
 //!
-//! Only threads explicitly marked with [`set_thread_attrib`] contribute
-//! (the runtime marks rank threads; request-engine helper threads stay
-//! unmarked so forked clocks are not double-counted — their time shows
-//! up at rank level as a request-wait when the completion time merges).
+//! Only threads installed with the attribution mark contribute (see
+//! [`crate::Handle::install`]: the runtime marks rank threads;
+//! request-engine helper threads stay unmarked so forked clocks are not
+//! double-counted — their time shows up at rank level as a request-wait
+//! when the completion time merges).
 
-use crate::recorder::{self, is_enabled};
+use crate::recorder::{self, with_recorder, LOCAL};
 use simclock::{Clock, SimDuration, SimTime};
-use std::cell::Cell;
 use std::collections::BTreeMap;
-use std::sync::Mutex;
 
 /// Buckets for time a rank spends moving its own clock forward.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -125,37 +124,16 @@ impl WaitEvent {
     }
 }
 
+/// A run's attribution sums, kept in its [`crate::Recorder`].
 #[derive(Default)]
-struct AttribState {
+pub(crate) struct AttribState {
     /// Per-rank busy sums in picoseconds, indexed by [`Bucket`].
-    busy: BTreeMap<u32, [u64; BUCKET_COUNT]>,
+    pub(crate) busy: BTreeMap<u32, [u64; BUCKET_COUNT]>,
     /// Every classified wait, in recording order (order is *not*
     /// deterministic across threads; consumers must sort).
-    waits: Vec<WaitEvent>,
+    pub(crate) waits: Vec<WaitEvent>,
     /// Per-rank final clock value at teardown, ps.
-    makespans: BTreeMap<u32, u64>,
-}
-
-static STATE: Mutex<AttribState> = Mutex::new(AttribState {
-    busy: BTreeMap::new(),
-    waits: Vec::new(),
-    makespans: BTreeMap::new(),
-});
-
-thread_local! {
-    static THREAD_ATTRIB: Cell<bool> = const { Cell::new(false) };
-}
-
-/// Mark (or unmark) the calling thread as contributing to attribution.
-/// The runtime marks rank threads; engine/helper threads with forked
-/// clocks must stay unmarked to keep the per-rank sums conservative.
-pub fn set_thread_attrib(on: bool) {
-    THREAD_ATTRIB.with(|a| a.set(on));
-}
-
-/// Is the calling thread marked for attribution?
-pub fn thread_attrib() -> bool {
-    THREAD_ATTRIB.with(|a| a.get())
+    pub(crate) makespans: BTreeMap<u32, u64>,
 }
 
 /// Run `f` with attribution suppressed on this thread, restoring the
@@ -163,16 +141,15 @@ pub fn thread_attrib() -> bool {
 /// are later rolled back (e.g. `iget` running on a forked-then-restored
 /// clock), which must not inflate the rank's busy sums.
 pub fn paused<R>(f: impl FnOnce() -> R) -> R {
-    let was = thread_attrib();
-    set_thread_attrib(false);
+    let was = LOCAL.with(|l| l.attrib.replace(false));
     let r = f();
-    set_thread_attrib(was);
+    LOCAL.with(|l| l.attrib.set(was));
     r
 }
 
 #[inline]
 fn active() -> bool {
-    is_enabled() && thread_attrib()
+    LOCAL.with(|l| l.on.get() && l.attrib.get())
 }
 
 /// Charge `dur` of busy time to `bucket` on the calling thread's rank.
@@ -183,8 +160,9 @@ pub fn busy(bucket: Bucket, dur: SimDuration) {
         return;
     }
     let rank = recorder::thread_rank();
-    let mut st = STATE.lock().unwrap();
-    st.busy.entry(rank).or_default()[bucket as usize] += dur.as_ps();
+    with_recorder(|r| {
+        r.attrib.lock().unwrap().busy.entry(rank).or_default()[bucket as usize] += dur.as_ps()
+    });
 }
 
 /// Record a classified wait over `[start, end)` on the calling thread's
@@ -193,14 +171,14 @@ pub fn wait(kind: WaitKind, start: SimTime, end: SimTime, peer: Option<u32>) {
     if !active() || end <= start {
         return;
     }
-    let rank = recorder::thread_rank();
-    STATE.lock().unwrap().waits.push(WaitEvent {
-        rank,
+    let ev = WaitEvent {
+        rank: recorder::thread_rank(),
         kind,
         start_ps: start.as_ps(),
         end_ps: end.as_ps(),
         peer,
-    });
+    };
+    with_recorder(|r| r.attrib.lock().unwrap().waits.push(ev));
 }
 
 /// `clock.advance(cost)` plus attribution of `cost` to `bucket`.
@@ -245,70 +223,28 @@ pub fn charged<R>(clock: &mut Clock, bucket: Bucket, f: impl FnOnce(&mut Clock) 
 /// each rank thread finishes; the report uses it as the makespan the
 /// buckets must sum to.
 pub fn record_makespan(rank: u32, t: SimTime) {
-    if !is_enabled() {
+    if !recorder::is_enabled() {
         return;
     }
-    let mut st = STATE.lock().unwrap();
-    let entry = st.makespans.entry(rank).or_insert(0);
-    *entry = (*entry).max(t.as_ps());
-}
-
-/// Clear all attribution state (called from `obs::reset`).
-pub(crate) fn reset() {
-    let mut st = STATE.lock().unwrap();
-    st.busy.clear();
-    st.waits.clear();
-    st.makespans.clear();
-}
-
-/// Per-rank busy sums `(rank, [compute, pack, transfer])` in ps, sorted
-/// by rank.
-pub fn busy_table() -> Vec<(u32, [u64; BUCKET_COUNT])> {
-    STATE
-        .lock()
-        .unwrap()
-        .busy
-        .iter()
-        .map(|(&r, &b)| (r, b))
-        .collect()
-}
-
-/// Clone of every recorded wait event (recording order; sort before
-/// using in anything that must be deterministic).
-pub fn wait_events() -> Vec<WaitEvent> {
-    STATE.lock().unwrap().waits.clone()
-}
-
-/// Per-rank makespans `(rank, ps)`, sorted by rank.
-pub fn makespans() -> Vec<(u32, u64)> {
-    STATE
-        .lock()
-        .unwrap()
-        .makespans
-        .iter()
-        .map(|(&r, &m)| (r, m))
-        .collect()
+    with_recorder(|r| {
+        let mut st = r.attrib.lock().unwrap();
+        let entry = st.makespans.entry(rank).or_insert(0);
+        *entry = (*entry).max(t.as_ps());
+    });
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Mutex as StdMutex;
 
-    // Attribution state is process-global; serialize tests.
-    static LOCK: StdMutex<()> = StdMutex::new(());
-
+    /// Run `f` as rank 0 of a fresh observed run on this test's thread.
     fn with_clean<R>(f: impl FnOnce() -> R) -> R {
-        let _g = LOCK.lock().unwrap();
-        crate::recorder::reset();
-        crate::recorder::enable();
-        set_thread_attrib(true);
-        crate::recorder::set_thread_rank(0);
-        let r = f();
-        set_thread_attrib(false);
-        crate::recorder::disable();
-        crate::recorder::reset();
-        r
+        crate::recorder::begin_run(true).install(0, true);
+        f()
+    }
+
+    fn busy_table() -> Vec<(u32, [u64; BUCKET_COUNT])> {
+        with_recorder(|r| r.attrib.lock().unwrap().busy.clone().into_iter().collect())
     }
 
     #[test]
@@ -343,7 +279,7 @@ mod tests {
             assert_eq!(busy.len(), 1);
             assert_eq!(busy[0].1[Bucket::Compute as usize], 15_000);
             assert_eq!(busy[0].1[Bucket::Transfer as usize], 2_000);
-            let waits = wait_events();
+            let waits = with_recorder(|r| r.attrib.lock().unwrap().waits.clone());
             assert_eq!(waits.len(), 1);
             assert_eq!(waits[0].kind, WaitKind::Barrier);
             assert_eq!(waits[0].start_ps, 17_000);

@@ -14,20 +14,21 @@
 //! * **exporters**: Chrome `trace_event` JSON (open in `chrome://tracing`
 //!   or [Perfetto](https://ui.perfetto.dev)) and a JSONL counter dump.
 //!
-//! The recorder is a process-wide static so instrumentation hooks deep in
-//! the pack/protocol code never thread a handle through their signatures.
-//! Recording is switched per thread. When disabled (the default) every
-//! hook bails after **one thread-local load** — no locks, no allocation,
-//! no formatting. `scimpi::run` sets the switch from [`ObsConfig`] in
-//! `ClusterSpec` on every thread of the run and writes the export files
-//! at teardown.
+//! Each observed run gets its own [`Recorder`], reached through a
+//! thread-local binding so instrumentation hooks deep in the
+//! pack/protocol code never thread a handle through their signatures.
+//! `scimpi::run` creates the recorder from [`ObsConfig`] in
+//! `ClusterSpec`, installs it on the calling thread and on every thread
+//! of the run (see [`Handle`]), and writes the export files at teardown;
+//! concurrent runs never share one. Recording is switched per thread.
+//! When disabled (the default) every hook bails after **one thread-local
+//! load** — no locks, no allocation, no formatting.
 //!
 //! ```
 //! use simclock::SimTime;
 //!
 //! obs::reset();
 //! obs::enable();
-//! obs::set_thread_rank(0);
 //! obs::inc(obs::Counter::EagerSends);
 //! obs::span("send", SimTime::ZERO, SimTime::from_ps(2_000_000), vec![
 //!     ("bytes", obs::Arg::U64(128)),
@@ -51,9 +52,9 @@ pub use config::ObsConfig;
 pub use export::{chrome_trace_json, counters_jsonl, write_chrome_trace, write_counters_jsonl};
 pub use histogram::Histogram;
 pub use recorder::{
-    add, counter_value, counters_snapshot, disable, enable, events_snapshot, inc, instant,
-    is_enabled, link_snapshots, max, peak_backlogs, record_link_snapshot, record_peak_backlog,
-    reset, set_thread_rank, span, take_events, thread_rank, Arg, Counter, EventKind, LinkSnapshot,
-    PeakBacklog, TraceEvent,
+    add, begin_run, counter_value, counters_snapshot, disable, enable, events_snapshot, handle,
+    inc, instant, is_enabled, link_snapshots, max, peak_backlogs, record_link_snapshot,
+    record_peak_backlog, reset, span, take_events, Arg, Counter, EventKind, Handle, LinkSnapshot,
+    PeakBacklog, Recorder, TraceEvent,
 };
 pub use report::Profile;

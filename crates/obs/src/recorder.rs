@@ -1,13 +1,17 @@
-//! The process-wide recorder: counters, trace events and link snapshots,
-//! behind a per-thread switch.
+//! The per-run recorder: counters, trace events, link snapshots,
+//! attribution and the profile, reached through a per-thread binding.
 //!
-//! Everything funnels through one static `Recorder`. Hooks check the
-//! calling thread's switch with a single thread-local load before doing
-//! any work, so a disabled recorder costs one predictable branch per hook.
+//! Every hook funnels into the calling thread's [`Recorder`]. Hooks check
+//! the thread's switch with a single thread-local load before doing any
+//! work, so a disabled recorder costs one predictable branch per hook:
+//! no lock, no atomic and no reference count.
 
+use crate::attrib::AttribState;
+use crate::report::Profile;
 use simclock::SimTime;
+use std::cell::{Cell, RefCell};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// The protocol decision points counted by the registry.
 ///
@@ -289,71 +293,133 @@ pub struct PeakBacklog {
     pub eager_bytes: u64,
 }
 
-struct Recorder {
+/// One run's observability context: counters, trace events, link
+/// snapshots, peak backlogs, attribution sums and the built profile.
+///
+/// `scimpi::run` creates a fresh one for every observed run and installs
+/// it on the calling thread and on every thread of the run through a
+/// [`Handle`], so concurrent runs never see each other's data. Every
+/// reader in this crate reads the calling thread's recorder; a thread
+/// that was never handed one gets an empty recorder of its own.
+pub struct Recorder {
     counters: [AtomicU64; COUNTER_COUNT],
-    events: Mutex<Vec<TraceEvent>>,
+    pub(crate) events: Mutex<Vec<TraceEvent>>,
     links: Mutex<Vec<LinkSnapshot>>,
     backlogs: Mutex<Vec<PeakBacklog>>,
+    pub(crate) attrib: Mutex<AttribState>,
+    pub(crate) profile: Mutex<Option<Profile>>,
 }
 
-#[allow(clippy::declare_interior_mutable_const)]
-const ZERO: AtomicU64 = AtomicU64::new(0);
+impl Default for Recorder {
+    fn default() -> Self {
+        Recorder {
+            counters: std::array::from_fn(|_| AtomicU64::new(0)),
+            events: Mutex::default(),
+            links: Mutex::default(),
+            backlogs: Mutex::default(),
+            attrib: Mutex::default(),
+            profile: Mutex::default(),
+        }
+    }
+}
 
-static GLOBAL: Recorder = Recorder {
-    counters: [ZERO; COUNTER_COUNT],
-    events: Mutex::new(Vec::new()),
-    links: Mutex::new(Vec::new()),
-    backlogs: Mutex::new(Vec::new()),
-};
+/// The calling thread's switches: recording on or off, rank lane and
+/// attribution mark. They have no destructor, so checking one is a
+/// single thread-local load.
+pub(crate) struct Local {
+    pub(crate) on: Cell<bool>,
+    rank: Cell<u32>,
+    pub(crate) attrib: Cell<bool>,
+}
 
 thread_local! {
-    static THREAD_RANK: std::cell::Cell<u32> = const { std::cell::Cell::new(0) };
-    static THREAD_ENABLED: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+    pub(crate) static LOCAL: Local = const {
+        Local {
+            on: Cell::new(false),
+            rank: Cell::new(0),
+            attrib: Cell::new(false),
+        }
+    };
+    /// The recorder the calling thread records into and reads from.
+    static RECORDER: RefCell<Option<Arc<Recorder>>> = const { RefCell::new(None) };
 }
 
-/// Bind the calling thread to a rank lane. `scimpi::run` calls this at
-/// the top of every rank thread; events recorded on the thread land in
-/// that rank's lane.
-pub fn set_thread_rank(rank: u32) {
-    THREAD_RANK.with(|r| r.set(rank));
+/// Run `f` on the calling thread's recorder, creating an empty one if
+/// the thread has none yet.
+pub(crate) fn with_recorder<R>(f: impl FnOnce(&Recorder) -> R) -> R {
+    RECORDER.with(|r| f(r.borrow_mut().get_or_insert_with(Default::default)))
+}
+
+/// A thread's obs binding, carried to the threads it spawns: the
+/// recorder of its run while recording is on, `None` while it is off.
+#[derive(Clone)]
+pub struct Handle(Option<Arc<Recorder>>);
+
+impl Handle {
+    /// Bind the calling thread to this handle's recorder on rank lane
+    /// `rank`, recording on iff the handle's run is observed. `attrib`
+    /// marks the thread for time attribution: rank threads set it;
+    /// engine and helper threads with forked clocks do not, so no
+    /// picosecond is charged twice.
+    pub fn install(&self, rank: u32, attrib: bool) {
+        LOCAL.with(|l| {
+            l.on.set(self.0.is_some());
+            l.rank.set(rank);
+            l.attrib.set(attrib);
+        });
+        RECORDER.set(self.0.clone());
+    }
+}
+
+/// The calling thread's binding, for a thread it is about to spawn.
+pub fn handle() -> Handle {
+    Handle(is_enabled().then(|| {
+        RECORDER.with(|r| Arc::clone(r.borrow_mut().get_or_insert_with(Default::default)))
+    }))
+}
+
+/// Start a run on the calling thread. An observed run gets a fresh
+/// recorder, installed here with recording on, so the caller reads this
+/// run's data afterwards; the returned handle is for the run's rank
+/// threads. An unobserved run switches the caller's recording off and
+/// leaves its recorder as it was.
+pub fn begin_run(observed: bool) -> Handle {
+    let h = Handle(observed.then(Default::default));
+    LOCAL.with(|l| l.on.set(observed));
+    if observed {
+        RECORDER.set(h.0.clone());
+    }
+    h
 }
 
 /// The rank lane the calling thread is bound to (0 if never bound).
-pub fn thread_rank() -> u32 {
-    THREAD_RANK.with(|r| r.get())
+pub(crate) fn thread_rank() -> u32 {
+    LOCAL.with(|l| l.rank.get())
 }
 
-/// Turn recording on for the calling thread. The switch is per thread:
-/// `scimpi::run` sets it from its [`crate::ObsConfig`] on every thread of
-/// the run, so a run without obs never records into a concurrent
-/// observed one. Threads start with recording off.
+/// Turn recording on for the calling thread, into its recorder.
+/// Threads start with recording off.
 pub fn enable() {
-    THREAD_ENABLED.with(|e| e.set(true));
+    LOCAL.with(|l| l.on.set(true));
 }
 
 /// Turn recording off for the calling thread. Hooks become a single
-/// load-and-branch.
+/// thread-local load and a branch.
 pub fn disable() {
-    THREAD_ENABLED.with(|e| e.set(false));
+    LOCAL.with(|l| l.on.set(false));
 }
 
 /// Is recording on for the calling thread?
 #[inline]
 pub fn is_enabled() -> bool {
-    THREAD_ENABLED.with(|e| e.get())
+    LOCAL.with(|l| l.on.get())
 }
 
-/// Zero every counter and drop all buffered events and snapshots.
-/// Does not change the enabled flag.
+/// Give the calling thread a fresh, empty recorder: zero counters, no
+/// events, snapshots, attribution or profile. Does not change the
+/// enabled flag, and leaves any other thread's recorder alone.
 pub fn reset() {
-    for c in &GLOBAL.counters {
-        c.store(0, Ordering::Relaxed);
-    }
-    GLOBAL.events.lock().unwrap().clear();
-    GLOBAL.links.lock().unwrap().clear();
-    GLOBAL.backlogs.lock().unwrap().clear();
-    crate::attrib::reset();
-    crate::report::reset();
+    RECORDER.set(None);
 }
 
 /// Increment a counter by one. No-op when disabled.
@@ -368,7 +434,7 @@ pub fn add(counter: Counter, n: u64) {
     if !is_enabled() {
         return;
     }
-    GLOBAL.counters[counter as usize].fetch_add(n, Ordering::Relaxed);
+    with_recorder(|r| r.counters[counter as usize].fetch_add(n, Ordering::Relaxed));
 }
 
 /// Raise a counter to at least `v` (a high-water gauge). No-op when
@@ -378,22 +444,24 @@ pub fn max(counter: Counter, v: u64) {
     if !is_enabled() {
         return;
     }
-    GLOBAL.counters[counter as usize].fetch_max(v, Ordering::Relaxed);
+    with_recorder(|r| r.counters[counter as usize].fetch_max(v, Ordering::Relaxed));
 }
 
 /// Current value of a counter.
 pub fn counter_value(counter: Counter) -> u64 {
-    GLOBAL.counters[counter as usize].load(Ordering::Relaxed)
+    with_recorder(|r| r.counters[counter as usize].load(Ordering::Relaxed))
 }
 
 /// Snapshot of all counters as `(name, value)` pairs, in declaration
 /// order.
 pub fn counters_snapshot() -> Vec<(&'static str, u64)> {
-    Counter::NAMES
-        .iter()
-        .zip(&GLOBAL.counters)
-        .map(|(&n, c)| (n, c.load(Ordering::Relaxed)))
-        .collect()
+    with_recorder(|r| {
+        Counter::NAMES
+            .iter()
+            .zip(&r.counters)
+            .map(|(&n, c)| (n, c.load(Ordering::Relaxed)))
+            .collect()
+    })
 }
 
 /// Record a span covering `[start, end)` of virtual time on the calling
@@ -404,7 +472,7 @@ pub fn span(name: &'static str, start: SimTime, end: SimTime, args: Vec<(&'stati
     }
     let dur_ps = end.as_ps().saturating_sub(start.as_ps());
     push_event(TraceEvent {
-        rank: THREAD_RANK.with(|r| r.get()),
+        rank: thread_rank(),
         name,
         kind: EventKind::Span { dur_ps },
         ts_ps: start.as_ps(),
@@ -419,7 +487,7 @@ pub fn instant(name: &'static str, at: SimTime, args: Vec<(&'static str, Arg)>) 
         return;
     }
     push_event(TraceEvent {
-        rank: THREAD_RANK.with(|r| r.get()),
+        rank: thread_rank(),
         name,
         kind: EventKind::Instant,
         ts_ps: at.as_ps(),
@@ -428,7 +496,7 @@ pub fn instant(name: &'static str, at: SimTime, args: Vec<(&'static str, Arg)>) 
 }
 
 fn push_event(ev: TraceEvent) {
-    GLOBAL.events.lock().unwrap().push(ev);
+    with_recorder(|r| r.events.lock().unwrap().push(ev));
 }
 
 /// Record a per-link traffic snapshot. No-op when disabled.
@@ -436,28 +504,27 @@ pub fn record_link_snapshot(label: String, per_link: Vec<(usize, u64, u64)>) {
     if !is_enabled() {
         return;
     }
-    GLOBAL
-        .links
-        .lock()
-        .unwrap()
-        .push(LinkSnapshot { label, per_link });
+    with_recorder(|r| {
+        r.links
+            .lock()
+            .unwrap()
+            .push(LinkSnapshot { label, per_link })
+    });
 }
 
 /// Drain and return all buffered trace events (oldest first).
 pub fn take_events() -> Vec<TraceEvent> {
-    std::mem::take(&mut *GLOBAL.events.lock().unwrap())
+    with_recorder(|r| std::mem::take(&mut *r.events.lock().unwrap()))
 }
 
-/// Clone the buffered trace events without draining them (the report
-/// builder reads them at teardown while leaving them for the trace
-/// exporter or in-process inspection).
+/// Clone the buffered trace events without draining them.
 pub fn events_snapshot() -> Vec<TraceEvent> {
-    GLOBAL.events.lock().unwrap().clone()
+    with_recorder(|r| r.events.lock().unwrap().clone())
 }
 
 /// Clone the recorded link snapshots.
 pub fn link_snapshots() -> Vec<LinkSnapshot> {
-    GLOBAL.links.lock().unwrap().clone()
+    with_recorder(|r| r.links.lock().unwrap().clone())
 }
 
 /// Record one rank's mailbox peak backlog (taken at teardown by
@@ -466,17 +533,19 @@ pub fn record_peak_backlog(rank: u32, msgs: u64, eager_bytes: u64) {
     if !is_enabled() {
         return;
     }
-    GLOBAL.backlogs.lock().unwrap().push(PeakBacklog {
-        rank,
-        msgs,
-        eager_bytes,
+    with_recorder(|r| {
+        r.backlogs.lock().unwrap().push(PeakBacklog {
+            rank,
+            msgs,
+            eager_bytes,
+        })
     });
 }
 
-/// Per-rank mailbox peak backlogs recorded by the most recent run,
-/// sorted by rank. Cleared by [`reset`].
+/// Per-rank mailbox peak backlogs recorded by the calling thread's
+/// most recent observed run, sorted by rank.
 pub fn peak_backlogs() -> Vec<PeakBacklog> {
-    let mut v = GLOBAL.backlogs.lock().unwrap().clone();
+    let mut v = with_recorder(|r| r.backlogs.lock().unwrap().clone());
     v.sort_by_key(|b| b.rank);
     v
 }
@@ -485,13 +554,8 @@ pub fn peak_backlogs() -> Vec<PeakBacklog> {
 mod tests {
     use super::*;
 
-    // The recorder is process-global; tests in this module serialize on
-    // a lock so their deltas do not interleave.
-    static LOCK: Mutex<()> = Mutex::new(());
-
     #[test]
     fn disabled_recorder_drops_everything() {
-        let _g = LOCK.lock().unwrap();
         reset();
         disable();
         let before = counter_value(Counter::EagerSends);
@@ -506,10 +570,9 @@ mod tests {
 
     #[test]
     fn enabled_recorder_counts_and_buffers() {
-        let _g = LOCK.lock().unwrap();
         reset();
         enable();
-        set_thread_rank(3);
+        handle().install(3, false);
         inc(Counter::RendezvousSends);
         add(Counter::RendezvousChunks, 4);
         span(
@@ -530,7 +593,6 @@ mod tests {
 
     #[test]
     fn max_and_peak_backlogs_record_when_enabled() {
-        let _g = LOCK.lock().unwrap();
         reset();
         enable();
         max(Counter::CreditBytesPeak, 10);
@@ -544,6 +606,39 @@ mod tests {
         disable();
         reset();
         assert!(peak_backlogs().is_empty());
+    }
+
+    #[test]
+    fn handles_carry_the_run_recorder_to_spawned_threads() {
+        let run = begin_run(true);
+        std::thread::spawn(move || {
+            run.install(2, false);
+            inc(Counter::EagerSends);
+            span("child", SimTime::ZERO, SimTime::from_ps(5), vec![]);
+        })
+        .join()
+        .unwrap();
+        assert_eq!(counter_value(Counter::EagerSends), 1);
+        assert_eq!(events_snapshot()[0].rank, 2);
+        // A thread never handed a recorder records into its own.
+        std::thread::spawn(|| {
+            enable();
+            inc(Counter::EagerSends);
+            assert_eq!(counter_value(Counter::EagerSends), 1);
+        })
+        .join()
+        .unwrap();
+        assert_eq!(counter_value(Counter::EagerSends), 1);
+        // An unobserved run switches the caller off but keeps its data.
+        let off = begin_run(false);
+        assert!(!is_enabled());
+        assert_eq!(counter_value(Counter::EagerSends), 1);
+        std::thread::spawn(move || {
+            off.install(0, true);
+            assert!(!is_enabled());
+        })
+        .join()
+        .unwrap();
     }
 
     #[test]

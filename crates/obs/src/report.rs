@@ -3,21 +3,21 @@
 //! `PROFILE_<name>.json`.
 //!
 //! `scimpi::run` builds the profile at teardown (after the per-rank
-//! makespans are recorded) and stores it as the process-wide "last
-//! profile"; harnesses read it back in-process via [`last_profile`] or
-//! write it next to their `BENCH_<name>.json` via [`write_profile_for`].
+//! makespans are recorded) and keeps it in the run's recorder as its
+//! "last profile"; harnesses on the thread that called `run` read it
+//! back via [`last_profile`] or write it next to their
+//! `BENCH_<name>.json` via [`write_profile_for`].
 //! Every field is an integer picosecond/nanosecond count, so same-seed
 //! runs serialize byte-identically.
 
-use crate::attrib::{self, Bucket, WaitKind, BUCKET_COUNT, WAIT_KIND_COUNT};
+use crate::attrib::{Bucket, WaitKind, BUCKET_COUNT, WAIT_KIND_COUNT};
 use crate::critpath::{self, CriticalPath};
 use crate::histogram::Histogram;
 use crate::json::escape;
-use crate::recorder::{EventKind, TraceEvent};
+use crate::recorder::{with_recorder, EventKind, Recorder};
 use std::collections::BTreeMap;
 use std::io::Write;
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
 
 /// One rank's virtual-time decomposition. The identity
 /// `compute + pack + transfer + wait + other == makespan` holds exactly.
@@ -82,13 +82,18 @@ impl Profile {
     }
 }
 
-/// Build a profile from the attribution state and the given trace
-/// events (span durations feed the histograms; attribution and
-/// makespans come from [`crate::attrib`]).
-pub fn build(events: &[TraceEvent]) -> Profile {
-    let busy = attrib::busy_table();
-    let waits = attrib::wait_events();
-    let makespans = attrib::makespans();
+/// Build a profile from `rec`'s attribution state and trace events
+/// (span durations feed the histograms).
+///
+/// # Panics
+///
+/// If any rank's busy plus wait time exceeds its recorded makespan: the
+/// instrumentation charges each clock movement at most once, so that
+/// would mean time was counted twice.
+pub fn build(rec: &Recorder) -> Profile {
+    let st = rec.attrib.lock().unwrap();
+    let (busy, waits) = (&st.busy, &st.waits);
+    let makespans: Vec<(u32, u64)> = st.makespans.iter().map(|(&r, &m)| (r, m)).collect();
 
     let mut ranks: BTreeMap<u32, RankProfile> = BTreeMap::new();
     fn touch(map: &mut BTreeMap<u32, RankProfile>, r: u32) -> &mut RankProfile {
@@ -97,10 +102,10 @@ pub fn build(events: &[TraceEvent]) -> Profile {
             ..RankProfile::default()
         })
     }
-    for (r, b) in &busy {
+    for (r, b) in busy {
         touch(&mut ranks, *r).busy_ps = *b;
     }
-    for w in &waits {
+    for w in waits {
         touch(&mut ranks, w.rank).wait_ps[w.kind as usize] += w.dur_ps();
     }
     for (r, m) in &makespans {
@@ -108,11 +113,9 @@ pub fn build(events: &[TraceEvent]) -> Profile {
     }
     for p in ranks.values_mut() {
         let classified = p.total_busy_ps() + p.total_wait_ps();
-        // The instrumentation charges each clock movement at most once,
-        // so classified time can never exceed the recorded makespan; a
-        // rank seen only through busy/wait records (no recorded
+        // A rank seen only through busy/wait records (no recorded
         // makespan) gets the classified sum as its makespan.
-        debug_assert!(
+        assert!(
             p.makespan_ps == 0 || classified <= p.makespan_ps,
             "rank {} over-attributed: {} classified vs {} makespan",
             p.rank,
@@ -124,7 +127,7 @@ pub fn build(events: &[TraceEvent]) -> Profile {
     }
 
     let mut fams: BTreeMap<&'static str, Histogram> = BTreeMap::new();
-    for ev in events {
+    for ev in rec.events.lock().unwrap().iter() {
         if let EventKind::Span { dur_ps } = ev.kind {
             fams.entry(ev.name).or_default().record(dur_ps);
         }
@@ -139,7 +142,7 @@ pub fn build(events: &[TraceEvent]) -> Profile {
                 hist,
             })
             .collect(),
-        critical_path: critpath::extract(&makespans, &waits),
+        critical_path: critpath::extract(&makespans, waits),
     }
 }
 
@@ -226,22 +229,19 @@ pub fn profile_json(p: &Profile) -> String {
     out
 }
 
-static LAST: Mutex<Option<Profile>> = Mutex::new(None);
-
-/// Store `p` as the process-wide last profile (`scimpi::run` does this
-/// at teardown).
-pub fn set_last(p: Profile) {
-    *LAST.lock().unwrap() = Some(p);
+/// Build the calling thread's profile and keep it as its last profile
+/// (`scimpi::run` does this at teardown).
+pub fn build_last() {
+    with_recorder(|r| {
+        let p = build(r);
+        *r.profile.lock().unwrap() = Some(p);
+    });
 }
 
-/// Clone of the most recently built profile, if any.
+/// Clone of the profile of the calling thread's most recent observed
+/// run, if any.
 pub fn last_profile() -> Option<Profile> {
-    LAST.lock().unwrap().clone()
-}
-
-/// Clear the stored profile (called from `obs::reset`).
-pub(crate) fn reset() {
-    *LAST.lock().unwrap() = None;
+    with_recorder(|r| r.profile.lock().unwrap().clone())
 }
 
 /// Write the last profile to `path`. No-op (Ok) when none was built.
@@ -360,11 +360,31 @@ mod tests {
             ts_ps: 0,
             args: vec![("bytes", Arg::U64(1))],
         };
-        let events = vec![ev("a", 10), ev("b", 20), ev("a", 30)];
-        let p = build(&events);
+        let rec = Recorder::default();
+        *rec.events.lock().unwrap() = vec![ev("a", 10), ev("b", 20), ev("a", 30)];
+        let p = build(&rec);
         assert_eq!(p.families.len(), 2);
         assert_eq!(p.family("a").unwrap().count(), 2);
         assert_eq!(p.family("b").unwrap().count(), 1);
         assert!(p.family("nope").is_none());
+    }
+
+    #[test]
+    #[should_panic(expected = "rank 1 over-attributed: 120 classified vs 100 makespan")]
+    fn build_rejects_over_attribution() {
+        let rec = Recorder::default();
+        {
+            let mut st = rec.attrib.lock().unwrap();
+            st.busy.insert(1, [50, 20, 10]);
+            st.waits.push(crate::attrib::WaitEvent {
+                rank: 1,
+                kind: WaitKind::LateSender,
+                start_ps: 0,
+                end_ps: 40,
+                peer: Some(0),
+            });
+            st.makespans.insert(1, 100);
+        }
+        build(&rec);
     }
 }

@@ -22,11 +22,6 @@ use scimpi::{
     Rank, ReduceOp, ScimpiError, Source, TagSel, Tuning, WinMemory,
 };
 use simclock::SimDuration;
-use std::sync::Mutex;
-
-/// The obs recorder (and its enable switch, which `run` flips per spec) is
-/// process-global: every test in this binary serialises on this mutex.
-static OBS_SERIAL: Mutex<()> = Mutex::new(());
 
 /// CI sweeps `CHAOS_SEED` to exercise the fault schedules under several
 /// RNG streams; the scenarios themselves are seed-independent. When
@@ -59,7 +54,6 @@ fn chaos_spec() -> ClusterSpec {
 /// traffic over the alternate ring direction, bit-perfectly.
 #[test]
 fn link_failure_reroutes_rendezvous_traffic() {
-    let _g = OBS_SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let payload: Vec<u8> = (0..200_000).map(|i| (i * 37) as u8).collect();
     let expect = payload.clone();
     let spec = chaos_spec().obs(obs::ObsConfig::enabled());
@@ -96,7 +90,6 @@ fn link_failure_reroutes_rendezvous_traffic() {
 /// pulled and heals back to the primary route once it is restored.
 #[test]
 fn window_stream_fails_over_and_heals() {
-    let _g = OBS_SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let spec = chaos_spec().obs(obs::ObsConfig::enabled());
     run(spec, move |r| {
         let mem = r.alloc_mem(1 << 16).unwrap();
@@ -132,7 +125,6 @@ fn window_stream_fails_over_and_heals() {
 /// delivering, and re-promotes at the fence after the links come back.
 #[test]
 fn one_sided_falls_back_to_emulation_and_repromotes() {
-    let _g = OBS_SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let spec = chaos_spec().obs(obs::ObsConfig::enabled());
     run(spec, move |r| {
         let mem = r.alloc_mem(1 << 16).unwrap();
@@ -189,7 +181,6 @@ fn one_sided_falls_back_to_emulation_and_repromotes() {
 /// `EndToEnd` retransmission) on top of the severed-route emulation.
 #[test]
 fn emulated_one_sided_sweep_under_link_failure() {
-    let _g = OBS_SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let spec = chaos_spec().obs(obs::ObsConfig::enabled());
     run(spec, move |r| {
         let mem = r.alloc_mem(1 << 16).unwrap();
@@ -281,7 +272,6 @@ fn emulated_one_sided_sweep_under_link_failure() {
 /// deterministic timeout/backoff budget — no hang, no real-time dependence.
 #[test]
 fn dead_peer_is_detected_within_the_virtual_time_budget() {
-    let _g = OBS_SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let budget = death_delay(&Tuning::default());
     run(chaos_spec(), move |r| {
         r.barrier();
@@ -309,7 +299,6 @@ fn dead_peer_is_detected_within_the_virtual_time_budget() {
 /// per-rank virtual times and payload digests across two same-seed runs.
 #[test]
 fn chaos_outcome_is_deterministic() {
-    let _g = OBS_SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let payload = vec![0x5A; 100_000];
     let scenario = || {
         run(chaos_spec(), |r| {
@@ -441,7 +430,6 @@ fn check_dying_outcomes(
 /// while the subtree served before the death completes bit-perfectly.
 #[test]
 fn dying_interior_rank_cuts_bcast_deterministically() {
-    let _g = OBS_SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let budget = death_delay(&Tuning::default());
     // Binomial tree from root 0 over 8 ranks: 0→{4,2,1}, 2→3, 4→{6,5},
     // 6→7, and the root sends highest-mask-first. Victim 2: rank 0 serves
@@ -485,7 +473,6 @@ fn dying_interior_rank_cuts_bcast_deterministically() {
 /// rest finish the reduce but strand in the broadcast and get `Revoked`.
 #[test]
 fn dying_root_fails_allreduce_on_every_survivor() {
-    let _g = OBS_SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let budget = death_delay(&Tuning::default());
     let scenario = || {
         dying_collective(0, 1, |r| {
@@ -511,7 +498,6 @@ fn dying_root_fails_allreduce_on_every_survivor() {
 /// the revocation instead of hanging on a live peer.
 #[test]
 fn dying_sender_mid_gather_strands_then_revokes() {
-    let _g = OBS_SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let budget = death_delay(&Tuning::default());
     let scenario = || {
         dying_collective(3, 0, |r| {
@@ -537,7 +523,6 @@ fn dying_sender_mid_gather_strands_then_revokes() {
 /// must be released by the revocation.
 #[test]
 fn dying_contributor_fails_allgather_everywhere() {
-    let _g = OBS_SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let budget = death_delay(&Tuning::default());
     let scenario = || {
         dying_collective(5, 0, |r| {
@@ -562,7 +547,6 @@ fn dying_contributor_fails_allgather_everywhere() {
 /// and the tail of the chain is stranded until the revocation.
 #[test]
 fn dying_link_in_scan_chain_splits_outcomes() {
-    let _g = OBS_SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let budget = death_delay(&Tuning::default());
     let scenario = || {
         dying_collective(4, 5, |r| {
@@ -600,7 +584,6 @@ fn dying_link_in_scan_chain_splits_outcomes() {
 /// step-partners aborted earlier are stranded until the revocation.
 #[test]
 fn dying_rank_aborts_alltoall_pairwise_exchange() {
-    let _g = OBS_SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let budget = death_delay(&Tuning::default());
     let scenario = || {
         dying_collective(6, 5, |r| {

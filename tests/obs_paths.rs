@@ -2,15 +2,15 @@
 //! the right path: eager vs rendezvous sends, shared vs emulated window
 //! accesses — and stay silent when the recorder is disabled.
 //!
-//! The recorder is process-global, so all scenarios run sequentially
-//! inside one test function (the harness would otherwise interleave
-//! them).
+//! All scenarios run in sequence on one thread: each observed `run`
+//! gives that thread a fresh recorder, so every scenario reads only its
+//! own counters.
 
 use obs::Counter;
 use scimpi::{run, ClusterSpec, ObsConfig, Rank, Source, TagSel, WinMemory};
 
 fn enabled_spec() -> ClusterSpec {
-    // `reset_on_start` wipes the previous scenario's counters.
+    // Each observed run records into a fresh recorder of its own.
     ClusterSpec::ringlet(2).obs(ObsConfig::enabled())
 }
 

@@ -16,11 +16,6 @@ use scimpi::{
     TagSel, Tuning,
 };
 use simclock::{SimDuration, SimTime};
-use std::sync::Mutex;
-
-/// The obs recorder (and its enable switch, which `run` flips per spec)
-/// is process-global: tests that read counters serialise on this mutex.
-static OBS_SERIAL: Mutex<()> = Mutex::new(());
 
 /// Eager-byte budget used by the governed floods: the minimum
 /// `Tuning::validate` allows (one full eager-threshold message).
@@ -104,7 +99,6 @@ fn receiver_peak_eager_bytes() -> u64 {
 /// it), and the governed outcome is bit-deterministic across runs.
 #[test]
 fn stall_flood_bounds_backlog_and_delivers_identically() {
-    let _g = OBS_SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let spec = || {
         seeded(ClusterSpec::ringlet(2))
             .tuning(governed(OverloadPolicy::Stall))
@@ -151,7 +145,6 @@ fn stall_flood_bounds_backlog_and_delivers_identically() {
 /// byte-identical, and the degradations are counted.
 #[test]
 fn degrade_flood_bounds_backlog_via_rendezvous() {
-    let _g = OBS_SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let spec = || {
         seeded(ClusterSpec::ringlet(2))
             .tuning(governed(OverloadPolicy::Degrade))
@@ -181,7 +174,6 @@ fn degrade_flood_bounds_backlog_via_rendezvous() {
 /// the new key.
 #[test]
 fn stall_wait_time_is_conserved_in_backpressure_bucket() {
-    let _g = OBS_SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let profile_path = std::env::temp_dir().join(format!(
         "scimpi_overload_profile_{}.json",
         std::process::id()
@@ -223,7 +215,6 @@ fn stall_wait_time_is_conserved_in_backpressure_bucket() {
 /// delivered, the rest are counted as shed, and nothing blocks.
 #[test]
 fn shed_policy_drops_overflow_deterministically() {
-    let _g = OBS_SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     const SLOTS: usize = 4;
     const TOTAL: usize = 12;
     let tuning = Tuning {
@@ -270,7 +261,6 @@ fn shed_policy_drops_overflow_deterministically() {
 /// is whole again.
 #[test]
 fn error_policy_surfaces_resource_exhausted_and_recovers() {
-    let _g = OBS_SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let tuning = Tuning {
         eager_credit_slots: 2,
         eager_credits_bytes: BUDGET,
@@ -363,7 +353,6 @@ fn credit_gauge_tracks_consumption_and_barrier_return() {
 /// drop-bin reaper at the next sync point returns the capacity.
 #[test]
 fn drop_bin_reaper_returns_inflight_budget() {
-    let _g = OBS_SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let tuning = Tuning {
         max_inflight_requests: 2,
         ..Tuning::default()

@@ -4,11 +4,11 @@
 //! conservative — `compute + pack + transfer + wait + other ==
 //! makespan`, exactly, for every rank.
 //!
-//! The recorder is process-global, so all scenarios run sequentially
-//! inside one test function (the harness would otherwise interleave
-//! them).
+//! Every observed run records into a recorder of its own, bound to the
+//! thread that called `run`, so runs on different threads never mix
+//! their counters or profiles.
 
-use scimpi::{run, ClusterSpec, ObsConfig, Rank, ReduceOp, Source, TagSel, WinMemory};
+use scimpi::{run, Backend, ClusterSpec, ObsConfig, Rank, ReduceOp, Source, TagSel, WinMemory};
 use simclock::{SimDuration, SimTime};
 
 const RANKS: usize = 4;
@@ -142,4 +142,64 @@ fn profiler_is_deterministic_and_conservative() {
         "profile document missing schema marker"
     );
     assert_eq!(doc_a, doc_b, "same-seed PROFILE documents differ");
+}
+
+/// What an observed run leaves on the thread that called `run`: the
+/// counter table, the PROFILE JSON and the event scheduler's statistics.
+type RunView = (
+    Vec<(&'static str, u64)>,
+    String,
+    Option<(u64, usize, usize, u64)>,
+);
+
+fn observed_run(spec: ClusterSpec) -> RunView {
+    run(spec, workload);
+    let profile = obs::report::last_profile().expect("profile built at teardown");
+    (
+        obs::counters_snapshot(),
+        obs::report::profile_json(&profile),
+        scimpi::last_event_stats()
+            .map(|s| (s.events, s.ready_high_water, s.tasks_high_water, s.stalls)),
+    )
+}
+
+#[test]
+fn concurrent_observed_runs_keep_separate_reports() {
+    let scenarios = [
+        spec(ObsConfig::enabled()),
+        ClusterSpec::ringlet(3)
+            .backend(Backend::Event)
+            .obs(ObsConfig::enabled()),
+    ];
+    let alone: Vec<RunView> = scenarios.iter().cloned().map(observed_run).collect();
+    let start = std::sync::Barrier::new(scenarios.len());
+    let together: Vec<RunView> = std::thread::scope(|scope| {
+        let joins: Vec<_> = scenarios
+            .iter()
+            .map(|spec| {
+                let start = &start;
+                scope.spawn(move || {
+                    start.wait();
+                    observed_run(spec.clone())
+                })
+            })
+            .collect();
+        joins.into_iter().map(|j| j.join().unwrap()).collect()
+    });
+    for (i, (a, t)) in alone.iter().zip(&together).enumerate() {
+        for ((n, va), (_, vt)) in a.0.iter().zip(&t.0) {
+            assert_eq!(
+                va, vt,
+                "scenario {i}: counter `{n}` changed under a concurrent run"
+            );
+        }
+        assert_eq!(
+            a.1, t.1,
+            "scenario {i}: PROFILE changed under a concurrent run"
+        );
+        assert_eq!(
+            a.2, t.2,
+            "scenario {i}: scheduler stats changed under a concurrent run"
+        );
+    }
 }

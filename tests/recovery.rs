@@ -19,11 +19,6 @@ use scimpi::{
     ScimpiError,
 };
 use simclock::SimDuration;
-use std::sync::Mutex;
-
-/// The obs recorder (and its enable switch, which `run` flips per spec)
-/// is process-global: tests that read counters serialise on this mutex.
-static OBS_SERIAL: Mutex<()> = Mutex::new(());
 
 /// Words of per-rank application state (2 KiB images: eager-sized, so
 /// the failure scenarios exercise the recv-side death detection too).
@@ -240,7 +235,6 @@ fn seeded_death_sweep_recovers_within_one_epoch() {
 /// and the only recovery-side cost is the checkpoints themselves.
 #[test]
 fn fault_free_recovery_charges_zero_recovery_time() {
-    let _g = OBS_SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     const ROUNDS: u64 = 3;
     let workload = |r: &mut Rank| {
         let mut state = init_state(r.world_rank());

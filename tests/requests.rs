@@ -9,11 +9,6 @@ use scimpi::{
     Source, TagSel, Tuning, WinMemory,
 };
 use simclock::{SimDuration, SimTime};
-use std::sync::Mutex;
-
-/// The obs recorder (and its enable switch, which `run` flips per spec)
-/// is process-global: tests that read counters serialise on this mutex.
-static OBS_SERIAL: Mutex<()> = Mutex::new(());
 
 /// Above the eager threshold, so transfers take the rendezvous path and
 /// actually have wire time to hide.
@@ -205,13 +200,12 @@ fn nonblocking_delivers_blocking_payloads_under_end_to_end_integrity() {
     }
 }
 
-// Known rare flake on the thread backend: the two concurrent isends to
-// one neighbour drain on separate engine threads and interleave their
-// draws on the injector's shared per-pair fault stream in host order,
-// so retransmit counts — and with them the finish time — can be
-// bimodal while every payload stays exact. See the thread-backend
-// nondeterminism notes in docs/SCHEDULER.md; the event backend pins
-// this scenario.
+// The two irecvs from one neighbour drain on separate engine threads
+// and both hand ring slots back to the pair's free list. Under
+// `EndToEnd` a chunk is acknowledged only once its slot is back, so the
+// sender always finds the list in chunk order and same-seed runs pin
+// on the thread backend too. See the thread-backend nondeterminism
+// notes in docs/SCHEDULER.md.
 #[test]
 fn nonblocking_halo_is_deterministic_across_same_seed_runs() {
     let spec = || {
@@ -267,7 +261,6 @@ fn iget_overlap_composes_with_integrity_checking() {
 
 #[test]
 fn request_counters_balance_and_overlap_is_credited() {
-    let _g = OBS_SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let spec = seeded(ClusterSpec::ringlet(2)).obs(obs::ObsConfig::enabled());
     run(spec, |r| {
         if r.rank() == 0 {
@@ -335,7 +328,6 @@ fn wait_surfaces_engine_detected_peer_death() {
 /// not silently swallowed in the drop bin).
 #[test]
 fn dropped_failing_request_routes_through_error_handler() {
-    let _g = OBS_SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let spec = seeded(ClusterSpec::ringlet(2))
         .errors(ErrorMode::ErrorsReturn)
         .obs(obs::ObsConfig::enabled());
