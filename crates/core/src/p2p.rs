@@ -130,8 +130,14 @@ pub(crate) fn reliable_section() -> ReliableGuard {
 }
 
 /// Is this thread inside a reliable protocol section?
-fn is_reliable() -> bool {
+pub(crate) fn is_reliable() -> bool {
     RELIABLE.with(|r| r.get())
+}
+
+/// Exchange the thread's reliable-section flag with `v` (an event task
+/// switching in or out).
+pub(crate) fn swap_reliable(v: &mut bool) {
+    *v = RELIABLE.with(|r| r.replace(*v));
 }
 
 /// Guard returned by [`reliable_section`].
@@ -1266,63 +1272,34 @@ impl Rank {
                 .map(|st| self.status_to_logical(st));
         }
         let mut send_clock = self.clock.clone();
-        // Event backend: the send half runs as its own scheduler task so
-        // its blocking sites (ring slots, CTS waits) park in virtual time
+        // The send half runs as its own task (a thread on the thread
+        // backend) so its blocking sites (ring slots, CTS waits) progress
         // concurrently with the recv half below.
-        let task = sched::spawn_handle(rank as u32, send_clock.now());
         let obs = obs::handle();
-        std::thread::scope(|scope| {
-            let sender = scope.spawn({
-                let world = Arc::clone(&world);
-                let task = task.clone();
-                move || {
-                    // Bind the helper to the rank's trace lane but leave
-                    // it out of attribution (its clock is a fork; the
-                    // rank accounts the join below as a request-wait).
-                    obs.install(rank as u32, false);
-                    match task {
-                        Some(h) => {
-                            let out =
-                                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                    h.adopt();
-                                    finish_send_inner(&world, rank, &mut send_clock, op)
-                                }));
-                            match out {
-                                Ok(res) => {
-                                    sched::retire();
-                                    (res, send_clock)
-                                }
-                                Err(p) => {
-                                    sched::abort_current(p);
-                                    sched::retire();
-                                    std::panic::panic_any(sched::Aborted);
-                                }
-                            }
-                        }
-                        None => {
-                            let res = finish_send_inner(&world, rank, &mut send_clock, op);
-                            (res, send_clock)
-                        }
-                    }
-                }
-            });
-            let status = recv_into_inner(&world, rank, &mut self.clock, ticket, src, rbuf);
-            if let Some(h) = &task {
-                sched::join_task(h);
-            }
-            let (send_res, send_clock) = sender.join().expect("send side panicked");
-            // Joining the helper's forked clock: any jump is the rank
-            // blocked on its own outstanding send half.
-            attrib::merge_waited(
-                &mut self.clock,
-                send_clock.now(),
-                WaitKind::RequestWait,
-                Some(dst as u32),
-            );
-            send_res?;
-            status
-        })
-        .map(|st| self.status_to_logical(st))
+        let (send, status) = sched::fork_join(
+            rank as u32,
+            send_clock.now(),
+            || {
+                // Bind the helper to the rank's trace lane but leave it
+                // out of attribution (its clock is a fork; the rank
+                // accounts the join below as a request-wait).
+                obs.install(rank as u32, false);
+                let res = finish_send_inner(&world, rank, &mut send_clock, op);
+                (res, send_clock)
+            },
+            || recv_into_inner(&world, rank, &mut self.clock, ticket, src, rbuf),
+        );
+        let (send_res, send_clock) = send.expect("send side panicked");
+        // Joining the helper's forked clock: any jump is the rank
+        // blocked on its own outstanding send half.
+        attrib::merge_waited(
+            &mut self.clock,
+            send_clock.now(),
+            WaitKind::RequestWait,
+            Some(dst as u32),
+        );
+        send_res?;
+        status.map(|st| self.status_to_logical(st))
     }
 
     /// Non-destructive probe for a matching message.

@@ -57,6 +57,12 @@ pub(crate) fn is_exempt() -> bool {
     EXEMPT.with(|e| e.get())
 }
 
+/// Exchange the thread's revocation exemption with `v` (an event task
+/// switching in or out).
+pub(crate) fn swap_exempt(v: &mut bool) {
+    *v = EXEMPT.with(|e| e.replace(*v));
+}
+
 /// Run `f` exempt from revocation checks, restoring the previous state
 /// on every exit path (including panics under `ErrorsAreFatal`).
 fn with_exempt<R>(f: impl FnOnce() -> R) -> R {

@@ -56,7 +56,6 @@ use crate::runtime::Rank;
 use mpi_datatype::Committed;
 use simclock::{Clock, SimTime};
 use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
 
 /// Completion times of requests that were dropped unwaited. Engine
 /// threads deposit here from [`Request::drop`]; the owning rank drains
@@ -137,14 +136,10 @@ impl OwnedSend {
 }
 
 enum State<T> {
-    /// The transfer is being driven on an engine thread against a forked
-    /// clock; the handle yields the fork's final state and the result.
-    /// Under the event backend the engine thread is also a scheduler
-    /// task, carried here so completion can join it in virtual time.
-    Running(
-        JoinHandle<(Clock, Result<T, ScimpiError>)>,
-        Option<sched::Handle>,
-    ),
+    /// The transfer is being driven by an engine task (an OS thread on
+    /// the thread backend) against a forked clock; joining it yields
+    /// the fork's final state and the result.
+    Running(sched::Task<(Clock, Result<T, ScimpiError>)>),
     /// The transfer's virtual end time is known but the completion has
     /// not been folded into the rank's clock yet.
     Ready(SimTime, Result<T, ScimpiError>),
@@ -202,68 +197,33 @@ impl<T: Send + 'static> Request<T> {
         let id = rank.rank as u32;
         // Under the event backend the engine runs as a scheduler task so
         // its blocking sites park in virtual time like any rank.
-        let task = sched::spawn_handle(id, clock.now());
-        let child_task = task.clone();
         let obs = obs::handle();
-        let handle = std::thread::spawn(move || {
+        let task = sched::spawn(id, clock.now(), move || {
             obs.install(id, false);
-            match child_task {
-                Some(h) => {
-                    // Adoption sits inside the catch_unwind: waiting for
-                    // the first grant can itself abort if another task
-                    // panics before this one ever runs.
-                    let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        h.adopt();
-                        f(&mut clock)
-                    }));
-                    match out {
-                        Ok(res) => {
-                            sched::retire();
-                            (clock, res)
-                        }
-                        Err(p) => {
-                            // Record the real payload with the scheduler
-                            // (first panic wins), release the run token,
-                            // and surface the teardown sentinel through
-                            // the JoinHandle for settle()/drop to see.
-                            sched::abort_current(p);
-                            sched::retire();
-                            std::panic::panic_any(sched::Aborted);
-                        }
-                    }
-                }
-                None => {
-                    let res = f(&mut clock);
-                    (clock, res)
-                }
-            }
+            let res = f(&mut clock);
+            (clock, res)
         });
         Request {
-            state: Some(State::Running(handle, task)),
+            state: Some(State::Running(task)),
             posted_at,
             kind,
             drop_bin: Arc::clone(&rank.drop_bin),
         }
     }
 
-    /// Join the engine thread if still running, leaving the state at
-    /// `Ready` or `Done`. Blocks real time only; the completion verdict
-    /// stays a pure virtual-time comparison.
+    /// Join the engine task if still running, leaving the state at
+    /// `Ready` or `Done`. Blocks in virtual time (event backend) or real
+    /// time (thread backend) only; the completion verdict stays a pure
+    /// virtual-time comparison.
     fn settle(&mut self) {
         if let Some(State::Running(..)) = self.state {
-            let Some(State::Running(handle, task)) = self.state.take() else {
+            let Some(State::Running(task)) = self.state.take() else {
                 unreachable!()
             };
-            // Event backend: wait for the engine task in virtual time
-            // first — joining the OS thread directly while holding the
-            // run token would deadlock the scheduler.
-            if let Some(h) = &task {
-                sched::join_task(h);
-            }
-            let (clock, res) = match handle.join() {
+            let (clock, res) = match task.join() {
                 Ok(v) => v,
-                // The engine thread panicked (ErrorsAreFatal escalation):
-                // the run is being torn down — propagate.
+                // The engine panicked (ErrorsAreFatal escalation): the
+                // run is being torn down — propagate.
                 Err(p) => std::panic::resume_unwind(p),
             };
             self.state = Some(State::Ready(clock.now(), res));
@@ -287,34 +247,24 @@ impl<T> Drop for Request<T> {
     fn drop(&mut self) {
         match self.state.take() {
             None | Some(State::Done(..)) => {}
-            Some(State::Running(handle, task)) => {
-                if let Some(h) = &task {
-                    if std::thread::panicking() {
-                        // Dropped mid-unwind on the event backend:
-                        // parking to join would panic again (the abort
-                        // sentinel) and turn the unwind into an abort.
-                        // Detach — the scheduler's abort broadcast wakes
-                        // and retires the engine task on its own.
-                        return;
-                    }
-                    sched::join_task(h);
+            // Dropped mid-unwind, an event-backend engine is not awaited
+            // (`Task::join` returns the abort sentinel at once); the
+            // run's abort unwinds it on its own.
+            Some(State::Running(task)) => match task.join() {
+                Ok((clock, res)) => {
+                    obs::inc(obs::Counter::RequestsCompleted);
+                    obs::inc(obs::Counter::RequestsCompletedByDrop);
+                    self.drop_bin.push(clock.now(), res.err());
                 }
-                match handle.join() {
-                    Ok((clock, res)) => {
-                        obs::inc(obs::Counter::RequestsCompleted);
-                        obs::inc(obs::Counter::RequestsCompletedByDrop);
-                        self.drop_bin.push(clock.now(), res.err());
-                    }
-                    Err(p) => {
-                        // Engine-thread panic (fatal escalation). If we are
-                        // already unwinding, swallow it — a double panic
-                        // aborts without a message.
-                        if !std::thread::panicking() {
-                            std::panic::resume_unwind(p);
-                        }
+                Err(p) => {
+                    // Engine panic (fatal escalation). If we are already
+                    // unwinding, swallow it — a double panic aborts
+                    // without a message.
+                    if !std::thread::panicking() {
+                        std::panic::resume_unwind(p);
                     }
                 }
-            }
+            },
             Some(State::Ready(end, res)) => {
                 obs::inc(obs::Counter::RequestsCompleted);
                 obs::inc(obs::Counter::RequestsCompletedByDrop);

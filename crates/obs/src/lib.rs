@@ -54,7 +54,7 @@ pub use histogram::Histogram;
 pub use recorder::{
     add, begin_run, counter_value, counters_snapshot, disable, enable, events_snapshot, handle,
     inc, instant, is_enabled, link_snapshots, max, peak_backlogs, record_link_snapshot,
-    record_peak_backlog, reset, span, take_events, Arg, Counter, EventKind, Handle, LinkSnapshot,
-    PeakBacklog, Recorder, TraceEvent,
+    record_peak_backlog, reset, span, take_events, Arg, Binding, Counter, EventKind, Handle,
+    LinkSnapshot, PeakBacklog, Recorder, TraceEvent,
 };
 pub use report::Profile;

@@ -371,6 +371,29 @@ impl Handle {
     }
 }
 
+/// A thread's whole obs binding — switches and recorder — held for a
+/// scheduler task while the task is switched out of the thread it
+/// shares. `Default` is what a new thread starts with.
+#[derive(Default)]
+pub struct Binding {
+    on: bool,
+    rank: u32,
+    attrib: bool,
+    recorder: Option<Arc<Recorder>>,
+}
+
+impl Binding {
+    /// Exchange this binding with the calling thread's.
+    pub fn swap(&mut self) {
+        LOCAL.with(|l| {
+            self.on = l.on.replace(self.on);
+            self.rank = l.rank.replace(self.rank);
+            self.attrib = l.attrib.replace(self.attrib);
+        });
+        RECORDER.with(|r| std::mem::swap(&mut *r.borrow_mut(), &mut self.recorder));
+    }
+}
+
 /// The calling thread's binding, for a thread it is about to spawn.
 pub fn handle() -> Handle {
     Handle(is_enabled().then(|| {

@@ -114,17 +114,18 @@ impl DmaEngine {
             .mem()
             .read(entries[0].src_offset, dst)?;
         let txns = dst.len().div_ceil(params.stream_buffer_bytes) as u64;
-        let outcome = match self
-            .fabric
-            .faults()
-            .transact_bulk(&self.mapping.route, txns)
-        {
-            Ok(o) => o,
-            Err(f) => {
-                clock.advance(f.wasted);
-                return Err(f.error);
-            }
-        };
+        let outcome =
+            match self
+                .fabric
+                .faults()
+                .transact_bulk(self.mapping.pair(), &self.mapping.route, txns)
+            {
+                Ok(o) => o,
+                Err(f) => {
+                    clock.advance(f.wasted);
+                    return Err(f.error);
+                }
+            };
         // Silent read faults: data flows owner → importer; only bit flips
         // (a lost read transaction retries inside the engine).
         let pair = (self.mapping.segment.owner().0, self.mapping.importer.0);
@@ -193,17 +194,18 @@ impl DmaEngine {
                 .check_range(e.dst_offset, e.len)?;
         }
         let txns = (total.div_ceil(params.stream_buffer_bytes)) as u64;
-        let outcome = match self
-            .fabric
-            .faults()
-            .transact_bulk(&self.mapping.route, txns)
-        {
-            Ok(o) => o,
-            Err(f) => {
-                clock.advance(f.wasted);
-                return Err(f.error);
-            }
-        };
+        let outcome =
+            match self
+                .fabric
+                .faults()
+                .transact_bulk(self.mapping.pair(), &self.mapping.route, txns)
+            {
+                Ok(o) => o,
+                Err(f) => {
+                    clock.advance(f.wasted);
+                    return Err(f.error);
+                }
+            };
         // Land the bytes, applying silent faults rolled over the gathered
         // byte stream (fault positions are stream positions, so a dropped
         // transaction can straddle scatter/gather entry boundaries).

@@ -200,18 +200,37 @@ pub struct FaultInjector {
     state: Mutex<InjectorState>,
 }
 
+/// Salt of the retry streams' master seed, so they never replay the
+/// silent-fault streams of the same pair.
+const RETRY_SALT: u64 = 0x5245_5452_5953_414C;
+
 #[derive(Debug)]
 struct InjectorState {
-    rng: SplitMix64,
     down_links: HashSet<usize>,
     dead_nodes: HashSet<usize>,
     /// One RNG stream per ordered (source node, destination node) pair,
     /// forked lazily off the master seed. Silent-fault draws come from
     /// these: transfers between one pair of nodes are ordered by the
     /// protocol, so per-pair streams make silent faults reproducible even
-    /// when many rank threads transfer concurrently (unlike retry draws,
-    /// which share `rng` and interleave nondeterministically).
+    /// when many rank threads transfer concurrently.
     pair_rngs: HashMap<(usize, usize), SplitMix64>,
+    /// Retry draws, one stream per ordered (importer, owner) pair of a
+    /// mapping, forked lazily off the salted master seed: like silent
+    /// faults, retries follow each pair's own transfer order rather than
+    /// the host order of all rank threads together.
+    retry_rngs: HashMap<(usize, usize), SplitMix64>,
+}
+
+/// The stream of `pair` in `streams`, forked off `master` on first use.
+fn pair_stream(
+    streams: &mut HashMap<(usize, usize), SplitMix64>,
+    master: u64,
+    pair: (usize, usize),
+) -> &mut SplitMix64 {
+    streams.entry(pair).or_insert_with(|| {
+        let key = ((pair.0 as u64) << 32) | pair.1 as u64;
+        SplitMix64::new(master).fork(key)
+    })
 }
 
 impl FaultInjector {
@@ -221,10 +240,10 @@ impl FaultInjector {
             config,
             seed,
             state: Mutex::new(InjectorState {
-                rng: SplitMix64::new(seed),
                 down_links: HashSet::new(),
                 dead_nodes: HashSet::new(),
                 pair_rngs: HashMap::new(),
+                retry_rngs: HashMap::new(),
             }),
         }
     }
@@ -270,11 +289,16 @@ impl FaultInjector {
         Ok(())
     }
 
-    /// Pass one transaction through the injector: possibly retries (extra
+    /// Pass one transaction from `pair.0` (importer) to the segment
+    /// owner `pair.1` through the injector: possibly retries (extra
     /// latency + delivery jitter). Returns an error only if `max_retries`
     /// consecutive attempts fail.
-    pub fn transact(&self, route: &Route) -> Result<TxnOutcome, FailedTransaction> {
-        self.transact_bulk(route, 1)
+    pub fn transact(
+        &self,
+        pair: (usize, usize),
+        route: &Route,
+    ) -> Result<TxnOutcome, FailedTransaction> {
+        self.transact_bulk(pair, route, 1)
     }
 
     /// Pass a burst of `txns` SCI transactions through the injector: each
@@ -284,17 +308,25 @@ impl FaultInjector {
     ///
     /// On hard failure the returned [`FailedTransaction`] carries the
     /// virtual time the failed attempts burned (`retry_penalty` each), so
-    /// an unrecoverable transfer is not free.
-    pub fn transact_bulk(&self, route: &Route, txns: u64) -> Result<TxnOutcome, FailedTransaction> {
+    /// an unrecoverable transfer is not free. Draws come from the stream
+    /// of the mapping's (importer, owner) node `pair`, whichever route
+    /// the burst takes.
+    pub fn transact_bulk(
+        &self,
+        pair: (usize, usize),
+        route: &Route,
+        txns: u64,
+    ) -> Result<TxnOutcome, FailedTransaction> {
         self.check_route(route)?;
         if self.config.error_rate <= 0.0 || txns == 0 {
             return Ok(TxnOutcome::CLEAN);
         }
         let mut st = self.state.lock().unwrap();
+        let rng = pair_stream(&mut st.retry_rngs, self.seed ^ RETRY_SALT, pair);
         let mut retries = 0u32;
         for _ in 0..txns {
             let mut consecutive = 0u32;
-            while st.rng.chance(self.config.error_rate) {
+            while rng.chance(self.config.error_rate) {
                 consecutive += 1;
                 retries += 1;
                 if consecutive > self.config.max_retries {
@@ -315,7 +347,7 @@ impl FaultInjector {
             return Ok(TxnOutcome::CLEAN);
         }
         obs::add(obs::Counter::LinkTxnRetries, retries as u64);
-        let jitter_ps = st.rng.next_below(self.config.reorder_jitter.as_ps().max(1));
+        let jitter_ps = rng.next_below(self.config.reorder_jitter.as_ps().max(1));
         Ok(TxnOutcome {
             extra_latency: self.config.retry_penalty.saturating_mul(retries as u64),
             jitter: SimDuration::from_ps(jitter_ps),
@@ -346,11 +378,7 @@ impl FaultInjector {
         }
         let txn_bytes = txn_bytes.max(1);
         let mut st = self.state.lock().unwrap();
-        let seed = self.seed;
-        let rng = st.pair_rngs.entry(pair).or_insert_with(|| {
-            let key = ((pair.0 as u64) << 32) | pair.1 as u64;
-            SplitMix64::new(seed).fork(key)
-        });
+        let rng = pair_stream(&mut st.pair_rngs, self.seed, pair);
         let mut faults = Vec::new();
         let mut pos = 0usize;
         while pos < total_bytes {
@@ -538,6 +566,8 @@ mod tests {
     use crate::topology::{NodeId, Topology};
     use simclock::Clock;
 
+    const PAIR: (usize, usize) = (0, 3);
+
     fn route() -> Route {
         Topology::ringlet(8).route(NodeId(0), NodeId(3))
     }
@@ -546,7 +576,7 @@ mod tests {
     fn healthy_fabric_is_clean() {
         let inj = FaultInjector::new(FaultConfig::default(), 1);
         for _ in 0..1000 {
-            assert_eq!(inj.transact(&route()).unwrap(), TxnOutcome::CLEAN);
+            assert_eq!(inj.transact(PAIR, &route()).unwrap(), TxnOutcome::CLEAN);
         }
     }
 
@@ -555,7 +585,7 @@ mod tests {
         let inj = FaultInjector::new(FaultConfig::lossy(0.2), 42);
         let mut retried = 0;
         for _ in 0..1000 {
-            let out = inj.transact(&route()).unwrap();
+            let out = inj.transact(PAIR, &route()).unwrap();
             if out.retries > 0 {
                 retried += 1;
                 assert!(out.extra_latency >= FaultConfig::default().retry_penalty);
@@ -570,7 +600,7 @@ mod tests {
         let run = |seed| {
             let inj = FaultInjector::new(FaultConfig::lossy(0.3), seed);
             (0..100)
-                .map(|_| inj.transact(&route()).unwrap().retries)
+                .map(|_| inj.transact(PAIR, &route()).unwrap().retries)
                 .collect::<Vec<_>>()
         };
         assert_eq!(run(7), run(7));
@@ -583,11 +613,11 @@ mod tests {
         inj.fail_link(LinkId(1));
         let r = route(); // crosses links 0,1,2
         assert_eq!(
-            inj.transact(&r),
+            inj.transact(PAIR, &r),
             Err(FailedTransaction::from(SciError::LinkDown(LinkId(1))))
         );
         inj.restore_link(LinkId(1));
-        assert!(inj.transact(&r).is_ok());
+        assert!(inj.transact(PAIR, &r).is_ok());
     }
 
     #[test]
@@ -596,7 +626,7 @@ mod tests {
         let inj = FaultInjector::new(FaultConfig::default(), 1);
         inj.fail_link(LinkId(6));
         let r = topo.route(NodeId(0), NodeId(3)); // links 0..2
-        assert!(inj.transact(&r).is_ok());
+        assert!(inj.transact(PAIR, &r).is_ok());
     }
 
     #[test]
@@ -607,7 +637,7 @@ mod tests {
             ..FaultConfig::default()
         };
         let inj = FaultInjector::new(cfg, 9);
-        let err = inj.transact(&route()).unwrap_err();
+        let err = inj.transact(PAIR, &route()).unwrap_err();
         assert!(matches!(err.error, SciError::LinkDown(_)));
     }
 
@@ -624,13 +654,13 @@ mod tests {
         };
         let penalty = cfg.retry_penalty;
         let inj = FaultInjector::new(cfg, 9);
-        let err = inj.transact(&route()).unwrap_err();
+        let err = inj.transact(PAIR, &route()).unwrap_err();
         // max_retries + 1 attempts burned a retry_penalty each.
         assert_eq!(err.retries, 4);
         assert_eq!(err.wasted, penalty.saturating_mul(4));
         // An administratively severed route fails instantly and free.
         inj.fail_link(LinkId(0));
-        let err = inj.transact(&route()).unwrap_err();
+        let err = inj.transact(PAIR, &route()).unwrap_err();
         assert_eq!(err.wasted, SimDuration::ZERO);
         assert_eq!(err.retries, 0);
     }
@@ -670,10 +700,10 @@ mod tests {
         let b = FaultInjector::new(FaultConfig::lossy(0.3), 5);
         a.silent_faults((0, 1), 64, 4096, true);
         let draws_a: Vec<u32> = (0..50)
-            .map(|_| a.transact(&route()).unwrap().retries)
+            .map(|_| a.transact(PAIR, &route()).unwrap().retries)
             .collect();
         let draws_b: Vec<u32> = (0..50)
-            .map(|_| b.transact(&route()).unwrap().retries)
+            .map(|_| b.transact(PAIR, &route()).unwrap().retries)
             .collect();
         assert_eq!(draws_a, draws_b);
     }
@@ -691,6 +721,35 @@ mod tests {
         let inj = FaultInjector::new(FaultConfig::silent(0.1, 0.05), 77);
         inj.silent_faults((1, 3), 64, 64 * 1024, true);
         assert_eq!(inj.silent_faults((0, 2), 64, 64 * 1024, true), roll((0, 2)));
+    }
+
+    #[test]
+    fn retry_draws_are_per_pair_and_apart_from_silent_faults() {
+        let draws = |inj: &FaultInjector, pair| {
+            (0..200)
+                .map(|_| inj.transact_bulk(pair, &route(), 16).unwrap().retries)
+                .collect::<Vec<_>>()
+        };
+        let alone = draws(&FaultInjector::new(FaultConfig::lossy(0.05), 9), PAIR);
+        // Another pair's retries, interleaved first, leave it unchanged.
+        let inj = FaultInjector::new(FaultConfig::lossy(0.05), 9);
+        draws(&inj, (3, 0));
+        assert_eq!(draws(&inj, PAIR), alone);
+        assert_ne!(draws(&inj, (3, 0)), alone, "pairs are ordered");
+        // Retries never advance the pair's silent-fault stream.
+        let cfg = FaultConfig {
+            corrupt_rate: 0.1,
+            ..FaultConfig::lossy(0.05)
+        };
+        let (a, b) = (
+            FaultInjector::new(cfg.clone(), 9),
+            FaultInjector::new(cfg, 9),
+        );
+        draws(&a, PAIR);
+        assert_eq!(
+            a.silent_faults(PAIR, 64, 4096, true),
+            b.silent_faults(PAIR, 64, 4096, true)
+        );
     }
 
     #[test]
@@ -774,10 +833,10 @@ mod tests {
         let b = FaultInjector::new(FaultConfig::lossy(0.3), 5);
         let _ = death_schedule(5, 8, 4, SimDuration::from_ms(2));
         let draws_a: Vec<u32> = (0..50)
-            .map(|_| a.transact(&route()).unwrap().retries)
+            .map(|_| a.transact(PAIR, &route()).unwrap().retries)
             .collect();
         let draws_b: Vec<u32> = (0..50)
-            .map(|_| b.transact(&route()).unwrap().retries)
+            .map(|_| b.transact(PAIR, &route()).unwrap().retries)
             .collect();
         assert_eq!(draws_a, draws_b);
     }

@@ -163,7 +163,7 @@ impl PioStream {
         match self
             .fabric
             .faults()
-            .transact_bulk(&self.mapping.route, txns)
+            .transact_bulk(self.mapping.pair(), &self.mapping.route, txns)
         {
             Ok(o) => Ok(o),
             Err(f) => {
@@ -171,11 +171,11 @@ impl PioStream {
                 if !self.try_failover() {
                     return Err(f.error);
                 }
-                match self
-                    .fabric
-                    .faults()
-                    .transact_bulk(&self.mapping.route, txns)
-                {
+                match self.fabric.faults().transact_bulk(
+                    self.mapping.pair(),
+                    &self.mapping.route,
+                    txns,
+                ) {
                     Ok(o) => Ok(o),
                     Err(f2) => {
                         clock.advance(f2.wasted);
@@ -554,17 +554,18 @@ impl PioReader {
         // Reads stall synchronously: a hard failure still cost the CPU the
         // time of the failed attempts. No failover here — the one-sided
         // layer reacts to reader errors by falling back to emulation.
-        let outcome = match self
-            .fabric
-            .faults()
-            .transact_bulk(&self.mapping.route, txns)
-        {
-            Ok(o) => o,
-            Err(f) => {
-                clock.advance(f.wasted);
-                return Err(f.error);
-            }
-        };
+        let outcome =
+            match self
+                .fabric
+                .faults()
+                .transact_bulk(self.mapping.pair(), &self.mapping.route, txns)
+            {
+                Ok(o) => o,
+                Err(f) => {
+                    clock.advance(f.wasted);
+                    return Err(f.error);
+                }
+            };
         cost += outcome.extra_latency;
         clock.advance(cost);
         // Silent read faults: the data flows owner → importer. Only bit

@@ -129,6 +129,12 @@ impl Mapping {
     pub fn is_local(&self) -> bool {
         self.route.is_local()
     }
+
+    /// The ordered (importer, owner) node pair: the key of the mapping's
+    /// retry stream in the fault injector.
+    pub fn pair(&self) -> (usize, usize) {
+        (self.importer.0, self.segment.owner().0)
+    }
 }
 
 #[cfg(test)]

@@ -48,8 +48,17 @@ where
         .lock()
         .unwrap_or_else(|e| e.into_inner());
     mpi_datatype::layout_cache::clear();
+    // Event-backend ranks are tasks on the thread that called `run`.
+    let launcher = (spec.backend == Backend::Event).then(|| std::thread::current().id());
     let spec = spec.obs(obs::ObsConfig::enabled());
     let per_rank = run(spec, |r| {
+        if let Some(launcher) = launcher {
+            assert_eq!(
+                std::thread::current().id(),
+                launcher,
+                "an event-backend rank body ran off the launcher thread"
+            );
+        }
         let bytes = f(r);
         (bytes, r.now())
     });

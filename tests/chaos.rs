@@ -7,13 +7,14 @@
 //! across same-seed runs.
 //!
 //! All fault schedules here are *administrative* (fail/restore/kill/revive
-//! at barrier-separated points) with `error_rate == 0`: random injection
-//! draws from one shared RNG whose interleaving across rank threads is not
-//! deterministic, while admin faults are. Silent corruption is the one
-//! exception — its per-pair RNG streams are deterministic — so CI also
-//! runs this binary with `CHAOS_CORRUPT_RATE` set, layering bit flips and
-//! dropped stores under `EndToEnd` integrity on top of every admin
-//! schedule; all the bit-perfect assertions must keep holding.
+//! at barrier-separated points) with `error_rate == 0`; random retry
+//! injection is covered by `tests/fault_injection.rs`. Random draws of
+//! both kinds come from per-pair RNG streams (retries per (importer,
+//! owner) mapping pair, silent faults per transfer direction), so they
+//! follow each pair's own transfer order and CI also runs this binary
+//! with `CHAOS_CORRUPT_RATE` set, layering bit flips and dropped stores
+//! under `EndToEnd` integrity on top of every admin schedule; all the
+//! bit-perfect assertions must keep holding.
 
 use mpi_datatype::{Committed, Datatype};
 use sci_fabric::LinkId;

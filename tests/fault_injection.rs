@@ -4,10 +4,11 @@
 //! transfers; the store barrier hides all of it from correctness, at a
 //! latency cost.
 
+use obs::Counter;
 use sci_fabric::{
     ConnectionMonitor, Fabric, FabricSpec, FaultConfig, LinkId, NodeId, SciError, Topology,
 };
-use scimpi::{run, ClusterSpec, Source, TagSel};
+use scimpi::{run, Backend, ClusterSpec, ObsConfig, Source, TagSel, WinMemory};
 use simclock::{Clock, SimDuration, SimTime};
 
 /// A lossy fabric must still deliver bit-perfect data — only slower.
@@ -62,6 +63,40 @@ fn fault_injection_is_deterministic() {
         })
     };
     assert_eq!(run_once(), run_once());
+}
+
+/// Retry draws follow each (importer, owner) pair's own transfer order,
+/// not the host order of all rank threads: a lossy one-sided workload
+/// reproduces its finish times and retry count on the thread backend,
+/// and matches the event backend exactly.
+#[test]
+fn lossy_put_fence_retries_match_across_runs_and_backends() {
+    let run_once = |backend| {
+        let mut spec = ClusterSpec::multi_ring(2, 4)
+            .backend(backend)
+            .obs(ObsConfig::enabled());
+        spec.faults = FaultConfig::lossy(0.05);
+        spec.seed = 4242;
+        let finish = run(spec, |r| {
+            let (me, n) = (r.rank(), r.size());
+            let mem = r.alloc_mem(1 << 16).unwrap();
+            let mut win = r.win_create(WinMemory::Alloc(mem)).unwrap();
+            win.fence(r).unwrap();
+            for round in 0..4usize {
+                let block = vec![(me * 16 + round) as u8; 4096];
+                win.put(r, (me + 1) % n, round * 8192, &block).unwrap();
+                win.put(r, (me + n - 1) % n, round * 8192 + 4096, &block)
+                    .unwrap();
+                win.fence(r).unwrap();
+            }
+            r.now()
+        });
+        (finish, obs::counter_value(Counter::LinkTxnRetries))
+    };
+    let first = run_once(Backend::Thread);
+    assert!(first.1 > 0, "the workload must see retries");
+    assert_eq!(run_once(Backend::Thread), first, "thread backend rerun");
+    assert_eq!(run_once(Backend::Event), first, "event backend");
 }
 
 /// Pulling a cable severs exactly the routes through it; restore heals.
